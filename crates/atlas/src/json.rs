@@ -11,6 +11,12 @@
 //! converts losslessly to and from the internal
 //! [`TracerouteResult`] model. This keeps the reproduction's analysis
 //! pipeline wire-compatible: point it at real Atlas JSON and it parses.
+//!
+//! Reading goes through [`decode_traceroute`] first: a direct one-scan
+//! decoder for the canonical record shape that builds no document tree.
+//! When it declines a record, the serde path decodes it and alone
+//! produces the errors, so both paths yield the same models and the same
+//! messages.
 
 use crate::probe::ProbeId;
 use crate::traceroute::{Hop, Reply, TracerouteResult};
@@ -18,6 +24,10 @@ use lastmile_timebase::UnixTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::IpAddr;
+
+mod direct;
+
+pub use direct::decode_traceroute;
 
 /// One reply entry in the Atlas `result` array.
 #[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq)]
@@ -184,8 +194,12 @@ impl AtlasTraceroute {
     }
 }
 
-/// Parse one Atlas JSON document into the internal model.
+/// Parse one Atlas JSON document into the internal model: the direct
+/// decoder, or the serde path when it declines the record.
 pub fn parse_traceroute(json: &str) -> Result<TracerouteResult, Box<dyn std::error::Error>> {
+    if let Some(tr) = decode_traceroute(json) {
+        return Ok(tr);
+    }
     let doc: AtlasTraceroute = serde_json::from_str(json)?;
     Ok(doc.to_model()?)
 }
@@ -214,11 +228,8 @@ pub fn parse_traceroutes(json: &str) -> Result<Vec<TracerouteResult>, Box<dyn st
                         return;
                     }
                 };
-                match serde_json::from_str::<AtlasTraceroute>(text).map_err(|e| e.to_string()) {
-                    Ok(doc) => match doc.to_model() {
-                        Ok(tr) => out.push(tr),
-                        Err(e) => first_err = Some(format!("element at byte {offset}: {e}")),
-                    },
+                match parse_traceroute(text) {
+                    Ok(tr) => out.push(tr),
                     Err(e) => first_err = Some(format!("element at byte {offset}: {e}")),
                 }
             }

@@ -4,8 +4,7 @@
 use crate::bgp::load_table;
 use crate::cache::{self, Cache};
 use crate::input::{
-    group_by_asn, ingest_options, ingest_traceroutes, ingest_traffic, load_probes, resolve_window,
-    write_quarantine,
+    group_by_asn, ingest_options, ingest_traffic, load_probes, resolve_window, write_quarantine,
 };
 use crate::progress::Heartbeat;
 use crate::stats::{emit_stats, wants_stats};
@@ -14,38 +13,40 @@ use lastmile_repro::atlas::ProbeId;
 use lastmile_repro::core::pipeline::{
     AsPipeline, PipelineConfig, PopulationAnalysis, PrebuiltSeries,
 };
+use lastmile_repro::ingest::ingest_file;
 use lastmile_repro::obs::{trace, LiveProgress, RunMetrics, StageTimer};
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::runner::{record_population_metrics, store_traffic_since};
 use lastmile_repro::store::{CacheMode, Lookup, StoreKey};
-use lastmile_repro::timebase::UnixTime;
+use lastmile_repro::timebase::{TimeRange, UnixTime};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Shared plumbing for `classify` and `hygiene`: stream the file (twice —
-/// once for the time span, once for the analysis) and return one
-/// [`PopulationAnalysis`] per ASN (ASN 0 = "all probes" when no metadata
-/// is given). When `metrics` is given, pipeline counters and stage
-/// timings are accumulated into it.
+/// Shared plumbing for `classify` and `hygiene`: stream the file once
+/// and return one [`PopulationAnalysis`] per ASN (ASN 0 = "all probes"
+/// when no metadata is given). When `metrics` is given, pipeline
+/// counters and stage timings are accumulated into it.
 ///
 /// With `--cache-dir` the per-probe median series are served from /
 /// memoized into a `lastmile-store` snapshot: a probe whose series the
 /// cache already holds for the whole analysis window skips ingestion
 /// entirely, and freshly built series are written back (`--cache rw`, the
 /// default). The classification output is byte-identical either way. The
-/// cache only engages when the window is aligned to bin boundaries —
-/// pass explicit midnight-aligned `--start`/`--end`; the data-span
-/// fallback window almost never aligns, and unaligned windows bypass.
+/// cache only serves when the window is known before the stream and
+/// aligned to bin boundaries — pass explicit midnight-aligned
+/// `--start`/`--end`. Without them the window is the data span, known
+/// only at the end: no probe is served, and write-back still runs if
+/// that span happens to be aligned.
 ///
 /// Under per-traceroute ASN attribution (`--bgp` without `--probes`) a
 /// probe can legitimately split across AS pipelines, but the store holds
 /// ONE series per probe — so only probes whose routed traceroutes all
-/// resolve to a single ASN are served or memoized (pass 1 records the
-/// attribution), and the snapshot's source fingerprint mixes in the BGP
-/// table (the table decides which traceroutes are ingested), so `--bgp`
-/// snapshots never cross with `--probes`/ASN-0 ones.
+/// resolve to a single ASN are served or memoized (a pre-scan records
+/// the attribution), and the snapshot's source fingerprint mixes in the
+/// BGP table (the table decides which traceroutes are ingested), so
+/// `--bgp` snapshots never cross with `--probes`/ASN-0 ones.
 pub fn analyze_file(
     flags: &Flags,
     metrics: Option<&RunMetrics>,
@@ -91,11 +92,15 @@ pub fn corpus_fingerprint(flags: &Flags, paths: &[String]) -> Result<u64, String
     Ok(f)
 }
 
-/// The core two-pass analysis over a corpus of one or more traceroute
-/// files (streamed in order, as if concatenated). Serves from / memoizes
-/// into `cache` when one is given, but neither builds nor persists it —
-/// a long-lived caller (the `serve` daemon's re-analysis engine) owns
-/// the cache across many calls and persists once at shutdown.
+/// The core analysis over a corpus of one or more traceroute files
+/// (streamed in order, as if concatenated), reading each record once.
+/// `--start`/`--end` filter at ingest; a bound not given resolves to the
+/// data span (`[data_min, data_max + 1)`) when the stream ends — a window
+/// holding every record by construction, so nothing the provisional
+/// filter let through falls outside it. Serves from / memoizes into
+/// `cache` when one is given, but neither builds nor persists it — a
+/// long-lived caller (the `serve` daemon's re-analysis engine) owns the
+/// cache across many calls and persists once at shutdown.
 pub fn analyze_corpus(
     flags: &Flags,
     paths: &[String],
@@ -111,72 +116,64 @@ pub fn analyze_corpus(
         .then(|| Arc::new(LiveProgress::default()));
     let _heartbeat = progress.clone().map(Heartbeat::start);
     ingest_opts.progress = progress.clone();
-    // Both passes decode every record and both report their decodes
-    // into `ingest.records_decoded`, so BOTH must sample decode latency
-    // — otherwise the histogram count sits at exactly half the decode
-    // counter (the bug `--stats` used to show).
+    // One decode-latency sample per record decoded, so the histogram
+    // count matches `ingest.records_decoded`.
     ingest_opts.record_latency = metrics.is_some();
-    let pass1_opts = ingest_opts.clone();
     let probes = flags.optional("probes").map(load_probes).transpose()?;
     let bgp = flags.optional("bgp").map(load_table).transpose()?;
     let anchors_only = flags.switch("anchors-only");
     let per_traceroute_asn = probes.is_none() && bgp.is_some();
     let cache_engaged = cache.is_some_and(|c| c.mode != CacheMode::Off);
 
-    // Pass 1: find the data span — and, when the cache may engage under
-    // per-traceroute attribution, record each probe's edge ASN. A probe
-    // whose routed traceroutes disagree (`None`) must never be served
-    // from or inserted into the cache: its traceroutes split across AS
-    // pipelines, and each pipeline's partial series under one store key
-    // would poison the snapshot.
-    let mut bgp_probe_asn: Option<BTreeMap<ProbeId, Option<Asn>>> =
-        (per_traceroute_asn && cache_engaged).then(BTreeMap::new);
-    let mut data_min: Option<UnixTime> = None;
-    let mut data_max: Option<UnixTime> = None;
-    let mut parsed = 0u64;
-    let mut skipped = 0u64;
-    let mut quarantined_all = Vec::new();
-    for path in paths {
-        let span = ingest_traceroutes(path, &pass1_opts, |tr| {
-            data_min = Some(data_min.map_or(tr.timestamp, |m| m.min(tr.timestamp)));
-            data_max = Some(data_max.map_or(tr.timestamp, |m| m.max(tr.timestamp)));
-            if let (Some(attribution), Some(table)) = (bgp_probe_asn.as_mut(), &bgp) {
-                if let Some((_, &asn)) = tr.edge_address().and_then(|a| table.lookup(a)) {
-                    attribution
-                        .entry(tr.probe)
-                        .and_modify(|e| {
-                            if *e != Some(asn) {
-                                *e = None;
-                            }
-                        })
-                        .or_insert(Some(asn));
+    let start = flags.parsed::<i64>("start")?;
+    let end = flags.parsed::<i64>("end")?;
+    // Both bounds given: the window is known before the stream, so
+    // cached probes can be served mid-stream.
+    let explicit_window = match (start, end) {
+        (Some(_), Some(_)) => Some(resolve_window(start, end, None, None)?),
+        _ => None,
+    };
+    // Pipelines drop what falls outside the given bounds; a missing bound
+    // stays open until the data span resolves it.
+    let filter = TimeRange::new(
+        UnixTime::from_secs(start.unwrap_or(i64::MIN)),
+        UnixTime::from_secs(end.unwrap_or(i64::MAX)),
+    );
+
+    // Pre-scan, only when the cache may engage under per-traceroute
+    // attribution: record each probe's edge ASN before any probe can be
+    // served. A probe whose routed traceroutes disagree (`None`) must
+    // never be served from or inserted into the cache: its traceroutes
+    // split across AS pipelines, and each pipeline's partial series
+    // under one store key would poison the snapshot.
+    let bgp_probe_asn: Option<BTreeMap<ProbeId, Option<Asn>>> = match &bgp {
+        Some(table) if per_traceroute_asn && cache_engaged => {
+            let mut attribution = BTreeMap::new();
+            for path in paths {
+                let mut scan = ingest_file(path, &ingest_opts, |tr| {
+                    if let Some((_, &asn)) = tr.edge_address().and_then(|a| table.lookup(a)) {
+                        attribution
+                            .entry(tr.probe)
+                            .and_modify(|e| {
+                                if *e != Some(asn) {
+                                    *e = None;
+                                }
+                            })
+                            .or_insert(Some(asn));
+                    }
+                })?;
+                // The pass below reports quarantine; the scan adds only
+                // its reads and decodes.
+                scan.quarantined.clear();
+                if let Some(m) = metrics {
+                    m.add_ingest_traffic(&ingest_traffic(&scan));
+                    m.merge_decode_hist(&scan.decode_hist);
                 }
             }
-        })?;
-        parsed += span.parsed;
-        skipped += span.skipped();
-        // Quarantine detail comes from pass 1 only: both passes read the
-        // same files, so typed counts and the triage dump stay exact.
-        if let Some(m) = metrics {
-            m.add_ingest_traffic(&ingest_traffic(&span, true));
-            m.merge_decode_hist(&span.decode_hist);
+            Some(attribution)
         }
-        quarantined_all.extend(span.quarantined);
-    }
-    eprintln!("[input] {parsed} traceroutes parsed, {skipped} skipped");
-    if let Some(qpath) = flags.optional("quarantine") {
-        write_quarantine(qpath, &quarantined_all)?;
-        eprintln!(
-            "[input] {} quarantined record(s) written to {qpath}",
-            quarantined_all.len()
-        );
-    }
-    let window = resolve_window(
-        flags.parsed::<i64>("start")?,
-        flags.parsed::<i64>("end")?,
-        data_min,
-        data_max,
-    )?;
+        _ => None,
+    };
 
     // Probe → ASN routing.
     let probe_to_asn: Option<BTreeMap<ProbeId, Asn>> = probes.as_ref().map(|list| {
@@ -199,28 +196,25 @@ pub fn analyze_corpus(
         None => true,
     };
     let counters_before = cache.map(|c| c.store.counters());
-    // Retaining built series costs memory; only pay when write-back can
-    // accept them (rw mode, bin-aligned window).
-    let retain =
-        cache.is_some_and(|c| c.mode == CacheMode::ReadWrite && cfg.bin.is_aligned(&window));
-    let new_pipeline = move || {
-        let mut p = AsPipeline::new(cfg, window);
-        p.retain_median_series(retain);
-        p
-    };
 
-    // Pass 2: route into per-AS pipelines. Probe metadata wins; otherwise
-    // the BGP table maps the first public hop (the paper's ISP edge) to
-    // its origin ASN; otherwise everything is one population (ASN 0).
-    // A probe whose series the cache covers for the whole window is
-    // "served": its traceroutes are skipped and the prebuilt series is
-    // fed to its population after the stream.
+    // The pass: route into per-AS pipelines. Probe metadata wins;
+    // otherwise the BGP table maps the first public hop (the paper's ISP
+    // edge) to its origin ASN; otherwise everything is one population
+    // (ASN 0). A probe whose series the cache covers for the whole
+    // window is "served": its traceroutes are skipped and the prebuilt
+    // series is fed to its population after the stream.
+    let mut data_min: Option<UnixTime> = None;
+    let mut data_max: Option<UnixTime> = None;
     let mut pipelines: BTreeMap<Asn, AsPipeline> = BTreeMap::new();
     let mut served: BTreeMap<ProbeId, (Asn, PrebuiltSeries)> = BTreeMap::new();
     let mut unserved: BTreeSet<ProbeId> = BTreeSet::new();
+    let mut parsed = 0u64;
+    let mut quarantined_all = Vec::new();
     let ingest_timer = StageTimer::start();
     for path in paths {
-        let pass2 = ingest_traceroutes(path, &ingest_opts, |tr| {
+        let summary = ingest_file(path, &ingest_opts, |tr| {
+            data_min = Some(data_min.map_or(tr.timestamp, |m| m.min(tr.timestamp)));
+            data_max = Some(data_max.map_or(tr.timestamp, |m| m.max(tr.timestamp)));
             let asn = match (&probe_to_asn, &bgp) {
                 (Some(map), _) => match map.get(&tr.probe) {
                     Some(&asn) => asn,
@@ -238,36 +232,65 @@ pub fn analyze_corpus(
                 if cacheable(tr.probe) && !unserved.contains(&tr.probe) {
                     match served.entry(tr.probe) {
                         Entry::Occupied(_) => return,
-                        Entry::Vacant(slot) => match c
-                            .store
-                            .lookup(&StoreKey::for_pipeline(tr.probe, &cfg), &window)
-                        {
-                            Lookup::Hit(pre) => {
-                                slot.insert((asn, pre));
-                                return;
+                        Entry::Vacant(slot) => {
+                            let key = StoreKey::for_pipeline(tr.probe, &cfg);
+                            let lookup = match &explicit_window {
+                                Some(window) => c.store.lookup(&key, window),
+                                None => c.store.bypass(),
+                            };
+                            match lookup {
+                                Lookup::Hit(pre) => {
+                                    slot.insert((asn, pre));
+                                    return;
+                                }
+                                Lookup::Miss | Lookup::Bypass => {
+                                    unserved.insert(tr.probe);
+                                }
                             }
-                            Lookup::Miss | Lookup::Bypass => {
-                                unserved.insert(tr.probe);
-                            }
-                        },
+                        }
                     }
                 }
             }
             pipelines
                 .entry(asn)
-                .or_insert_with(new_pipeline)
+                .or_insert_with(|| AsPipeline::new(cfg, filter))
                 .ingest(&tr);
         })?;
+        parsed += summary.parsed;
         if let Some(m) = metrics {
-            m.add_ingest_traffic(&ingest_traffic(&pass2, false));
-            m.merge_decode_hist(&pass2.decode_hist);
+            m.add_ingest_traffic(&ingest_traffic(&summary));
+            m.merge_decode_hist(&summary.decode_hist);
         }
+        quarantined_all.extend(summary.quarantined);
     }
+    eprintln!(
+        "[input] {parsed} traceroutes parsed, {} skipped",
+        quarantined_all.len()
+    );
+    if let Some(qpath) = flags.optional("quarantine") {
+        write_quarantine(qpath, &quarantined_all)?;
+        eprintln!(
+            "[input] {} quarantined record(s) written to {qpath}",
+            quarantined_all.len()
+        );
+    }
+    let window = match explicit_window {
+        Some(window) => window,
+        None => resolve_window(start, end, data_min, data_max)?,
+    };
+    // Retaining built series costs memory; only pay when write-back can
+    // accept them (rw mode, bin-aligned window).
+    let retain =
+        cache.is_some_and(|c| c.mode == CacheMode::ReadWrite && cfg.bin.is_aligned(&window));
     for (_, (asn, pre)) in served {
         pipelines
             .entry(asn)
-            .or_insert_with(new_pipeline)
+            .or_insert_with(|| AsPipeline::new(cfg, filter))
             .ingest_series(pre);
+    }
+    for p in pipelines.values_mut() {
+        p.set_period(window);
+        p.retain_median_series(retain);
     }
     if let Some(m) = metrics {
         m.add_ingest_nanos(ingest_timer.elapsed_nanos());

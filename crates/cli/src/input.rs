@@ -9,8 +9,8 @@
 
 use crate::Flags;
 use lastmile_repro::atlas::framing::{DocSplitter, Frame, FrameKind};
-use lastmile_repro::atlas::{Probe, ProbeId, TracerouteResult};
-use lastmile_repro::ingest::{ingest_file, IngestOptions, IngestSummary, Quarantined};
+use lastmile_repro::atlas::{Probe, ProbeId};
+use lastmile_repro::ingest::{IngestOptions, IngestSummary, Quarantined};
 use lastmile_repro::obs::IngestTraffic;
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::timebase::{TimeRange, UnixTime};
@@ -28,49 +28,16 @@ pub fn ingest_options(flags: &Flags) -> Result<IngestOptions, String> {
     })
 }
 
-/// Read traceroutes from a file that is either a JSON array or JSON Lines
-/// (one Atlas document per line), streaming each into `f`.
-///
-/// Malformed records are quarantined, not fatal — real Atlas dumps
-/// contain the occasional truncated document; the summary carries the
-/// typed quarantine detail.
-pub fn ingest_traceroutes(
-    path: &str,
-    options: &IngestOptions,
-    f: impl FnMut(TracerouteResult),
-) -> Result<IngestSummary, String> {
-    ingest_file(path, options, f)
-}
-
-/// Map an ingest summary onto the obs counters. `with_quarantine: false`
-/// reports only throughput (bytes, records, timers) — used for the second
-/// classify pass over the same file, so the typed quarantine counts in
-/// `--stats` stay per-file exact instead of double-counting.
-pub fn ingest_traffic(summary: &IngestSummary, with_quarantine: bool) -> IngestTraffic {
+/// Map an ingest summary onto the obs counters.
+pub fn ingest_traffic(summary: &IngestSummary) -> IngestTraffic {
     use lastmile_repro::ingest::QuarantineKind;
     IngestTraffic {
         bytes_read: summary.bytes_read,
         records_decoded: summary.parsed,
-        quarantined_framing: if with_quarantine {
-            summary.quarantined_of(QuarantineKind::Framing)
-        } else {
-            0
-        },
-        quarantined_json: if with_quarantine {
-            summary.quarantined_of(QuarantineKind::Json)
-        } else {
-            0
-        },
-        quarantined_model: if with_quarantine {
-            summary.quarantined_of(QuarantineKind::Model)
-        } else {
-            0
-        },
-        quarantined_panic: if with_quarantine {
-            summary.quarantined_of(QuarantineKind::WorkerPanic)
-        } else {
-            0
-        },
+        quarantined_framing: summary.quarantined_of(QuarantineKind::Framing),
+        quarantined_json: summary.quarantined_of(QuarantineKind::Json),
+        quarantined_model: summary.quarantined_of(QuarantineKind::Model),
+        quarantined_panic: summary.quarantined_of(QuarantineKind::WorkerPanic),
         frame_nanos: summary.frame_nanos,
         decode_nanos: summary.decode_nanos,
         wall_nanos: summary.wall_nanos,
@@ -247,42 +214,6 @@ mod tests {
         assert_eq!(w.end().as_secs(), 21);
         assert!(resolve_window(Some(5), Some(5), None, None).is_err());
         assert!(resolve_window(None, None, None, None).is_err());
-    }
-
-    #[test]
-    fn streaming_jsonl_and_array() {
-        use lastmile_repro::atlas::json::to_atlas_json;
-        use lastmile_repro::atlas::{Hop, Reply};
-        let tr = TracerouteResult {
-            probe: ProbeId(5),
-            msm_id: 5001,
-            timestamp: UnixTime::from_secs(100),
-            dst: "20.9.9.9".parse().unwrap(),
-            src: "192.168.1.10".parse().unwrap(),
-            hops: vec![Hop {
-                hop: 1,
-                replies: vec![Reply::answered("192.168.1.1".parse().unwrap(), 1.0)],
-            }],
-        };
-        let json = to_atlas_json(&tr, "20.0.0.1".parse().unwrap());
-        let dir = std::env::temp_dir().join("lastmile-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let opts = IngestOptions::default();
-
-        // JSON Lines with one garbage line.
-        let jsonl = dir.join("trs.jsonl");
-        std::fs::write(&jsonl, format!("{json}\nnot-json\n{json}\n")).unwrap();
-        let mut count = 0;
-        let s = ingest_traceroutes(jsonl.to_str().unwrap(), &opts, |_| count += 1).unwrap();
-        assert_eq!((s.parsed, s.skipped(), count), (2, 1, 2));
-
-        // Array form.
-        let array = dir.join("trs.json");
-        std::fs::write(&array, format!("[{json},{json},{json}]")).unwrap();
-        let mut count = 0;
-        let s = ingest_traceroutes(array.to_str().unwrap(), &opts, |_| count += 1).unwrap();
-        assert_eq!((s.parsed, s.skipped(), count), (3, 0, 3));
     }
 
     #[test]

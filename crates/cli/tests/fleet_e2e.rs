@@ -209,6 +209,19 @@ fn fleet_gen_primes_cache_for_zero_reingest_warm_classify() {
         Some(0),
         "a warm fleet survey must re-ingest nothing: {stats}"
     );
+    // Served probes skip the pipelines, not the read: every record is
+    // still framed and decoded — once.
+    let corpus = std::fs::read_to_string(&trs).unwrap();
+    assert_eq!(
+        stats["ingest"]["records_decoded"].as_u64(),
+        Some(corpus.lines().count() as u64),
+        "each record is decoded exactly once: {stats}"
+    );
+    assert_eq!(
+        stats["ingest"]["bytes_read"].as_u64(),
+        Some(corpus.len() as u64),
+        "the corpus is read exactly once: {stats}"
+    );
 }
 
 #[test]

@@ -132,8 +132,8 @@ fn quarantine_counts_and_dump_are_exact() {
     assert!(ok, "classify failed: {err}");
     assert!(err.contains("2 traceroutes parsed, 2 skipped"), "{err}");
 
-    // Typed counts in the stats JSON are per-file exact, even though
-    // classify reads the file twice.
+    // Typed counts in the stats JSON are per-file exact, and classify
+    // reads and decodes each record once.
     let stats: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&stats_path).unwrap()).unwrap();
     let q = &stats["ingest"]["quarantined"];
@@ -141,8 +141,11 @@ fn quarantine_counts_and_dump_are_exact() {
     assert_eq!(q["model"], 1, "{stats}");
     assert_eq!(q["framing"], 0, "{stats}");
     assert_eq!(q["worker_panic"], 0, "{stats}");
-    assert_eq!(stats["ingest"]["records_decoded"], 4, "two passes of two");
-    assert!(stats["ingest"]["bytes_read"].as_u64().unwrap() > 0);
+    assert_eq!(stats["ingest"]["records_decoded"], 2, "one pass of two");
+    assert_eq!(
+        stats["ingest"]["bytes_read"].as_u64().unwrap(),
+        std::fs::metadata(&trs).unwrap().len()
+    );
     assert!(stats["ingest"]["records_per_sec"].as_f64().unwrap() > 0.0);
 
     // The dump reproduces each bad record verbatim, with its offset.
@@ -158,6 +161,49 @@ fn quarantine_counts_and_dump_are_exact() {
     assert_eq!(docs[1]["kind"], "model");
     assert_eq!(docs[1]["record"], bad_model);
     assert!(!docs[1]["detail"].as_str().unwrap().is_empty());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn deeply_nested_record_is_quarantined_not_a_crash() {
+    let dir = std::env::temp_dir().join(format!("lastmile-ingest-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // One 40 KB record of 20,000 nested arrays between good records:
+    // an unbounded recursive parser overflows its stack on it, which
+    // aborts the process (exit 134) past any `catch_unwind`.
+    let good1 = tr_line(1, 600, 10.0);
+    let good2 = tr_line(1, 86000, 11.0);
+    let deep = format!("{{\"deep\":{}{}}}", "[".repeat(20_000), "]".repeat(20_000));
+    let trs = dir.join("trs.jsonl");
+    std::fs::write(&trs, format!("{good1}\n{deep}\n{good2}\n")).unwrap();
+
+    let quarantine_path = dir.join("quarantine.jsonl");
+    let (_, err, ok) = run(&[
+        "classify",
+        "--traceroutes",
+        trs.to_str().unwrap(),
+        "--min-probes",
+        "1",
+        "--quarantine",
+        quarantine_path.to_str().unwrap(),
+    ]);
+    assert!(ok, "classify failed: {err}");
+    assert!(err.contains("2 traceroutes parsed, 1 skipped"), "{err}");
+    let dump = std::fs::read_to_string(&quarantine_path).unwrap();
+    let docs: Vec<serde_json::Value> = dump
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    assert_eq!(docs.len(), 1, "{dump}");
+    assert_eq!(docs[0]["kind"], "json");
+    assert_eq!(docs[0]["offset"], (good1.len() + 1) as u64);
+    assert_eq!(docs[0]["record"], deep.as_str());
+    assert!(docs[0]["detail"]
+        .as_str()
+        .unwrap()
+        .contains("recursion limit exceeded"));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -164,6 +164,18 @@ impl AsPipeline {
         self.period
     }
 
+    /// Re-declare the measurement period before [`AsPipeline::finish`],
+    /// for a caller that learns it only once the stream has ended
+    /// (`classify` over the data's own span): ingest under a provisional
+    /// period wide enough to drop nothing, then set the real one. Series
+    /// are binned by absolute bin index, so nothing built so far depends
+    /// on the period; traceroutes the provisional period dropped stay
+    /// dropped. The new period must hold every ingested traceroute for
+    /// the result to equal a run that knew it from the start.
+    pub fn set_period(&mut self, period: TimeRange) {
+        self.period = period;
+    }
+
     /// Ingest one traceroute. Traceroutes outside the period are counted
     /// and dropped (period boundaries are exact, §2's dates are UTC).
     pub fn ingest(&mut self, tr: &TracerouteResult) {
@@ -442,6 +454,24 @@ mod tests {
             s.series_hist.count(),
             6,
             "one series-build latency sample per probe fed"
+        );
+    }
+
+    #[test]
+    fn period_set_after_ingest_matches_a_known_period() {
+        let mut known = AsPipeline::new(PipelineConfig::paper(), period_15d());
+        feed_diurnal(&mut known, 4, 2.0);
+        let open = TimeRange::new(UnixTime::from_secs(i64::MIN), UnixTime::from_secs(i64::MAX));
+        let mut late = AsPipeline::new(PipelineConfig::paper(), open);
+        feed_diurnal(&mut late, 4, 2.0);
+        late.set_period(period_15d());
+        let (a, b) = (known.finish(), late.finish());
+        assert_eq!(a.probe_series, b.probe_series);
+        assert_eq!(a.aggregated, b.aggregated);
+        assert_eq!(a.class(), b.class());
+        assert_eq!(
+            a.detection.map(|d| d.daily_amplitude_ms),
+            b.detection.map(|d| d.daily_amplitude_ms)
         );
     }
 

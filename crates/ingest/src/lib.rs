@@ -12,8 +12,8 @@
 //!
 //! ```text
 //!  file ──► framing reader ──► bounded batch queue ──► N parse workers
-//!           (DocSplitter,          (backpressure)        (serde + model
-//!            one thread)                                  conversion,
+//!           (DocSplitter,          (backpressure)        (direct decoder,
+//!            one thread)                                  serde fallback,
 //!                                                         catch_unwind)
 //!                     ┌──────────────────────────────────────┘
 //!                     ▼
@@ -39,13 +39,21 @@
 //!   can reproduce the bad records for offline triage. A record that
 //!   panics its worker is caught by a per-record `catch_unwind` and
 //!   quarantined like any other.
+//! * **Decode**: a worker hands each record to
+//!   [`lastmile_atlas::json::decode_traceroute`], a direct one-scan
+//!   decoder for the canonical record shape. A record it declines
+//!   (escapes, unusual numbers, anything malformed) takes the serde path,
+//!   which alone names quarantine kinds and details, so delivered models
+//!   and quarantine dumps equal a serde-only decode. Both paths stop at
+//!   128 levels of nesting: a deeply nested record is a `json`
+//!   quarantine, not a stack overflow.
 //!
 //! `on_record` runs on the caller's thread, so consumers need no
 //! locking; [`ingest_file`] returns an [`IngestSummary`] with counts,
 //! quarantined records (sorted by byte offset), and per-stage timers.
 
 use lastmile_atlas::framing::{DocSplitter, Frame};
-use lastmile_atlas::json::AtlasTraceroute;
+use lastmile_atlas::json::{decode_traceroute, AtlasTraceroute};
 use lastmile_atlas::TracerouteResult;
 use lastmile_obs::{trace, Histogram, LiveProgress};
 use std::io::Read;
@@ -112,9 +120,10 @@ pub struct IngestSummary {
     pub decode_nanos: u64,
     /// Elapsed time of the whole ingest.
     pub wall_nanos: u64,
-    /// Deepest the bounded batch queue got, in batches (0 on the serial
-    /// path, which has no queue). Pinned at `queue_batches` means the
-    /// parse workers are the bottleneck; near zero means framing/IO is.
+    /// Deepest the bounded batch queue got, in batches, counting one the
+    /// framer is blocked handing over (0 on the serial path, which has
+    /// no queue). Pinned at `queue_batches + 1` means the parse workers
+    /// are the bottleneck; near zero means framing/IO is.
     pub queue_max_depth: u64,
     /// Per-record decode latency, collected only when
     /// [`IngestOptions::record_latency`] is set; empty otherwise.
@@ -322,7 +331,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Decode one framed record; quarantines never escape as panics.
+/// Decode one framed record — the direct decoder, or the serde path when
+/// it declines; quarantines never escape as panics.
 fn decode_record(
     offset: u64,
     bytes: &[u8],
@@ -340,6 +350,11 @@ fn decode_record(
         }
         let text = std::str::from_utf8(bytes)
             .map_err(|e| quarantine(QuarantineKind::Json, e.to_string()))?;
+        if let Some(tr) = decode_traceroute(text) {
+            return Ok(tr);
+        }
+        // The direct decoder declined: the serde path decides, and alone
+        // names the quarantine kind and detail.
         let doc: AtlasTraceroute = serde_json::from_str(text)
             .map_err(|e| quarantine(QuarantineKind::Json, e.to_string()))?;
         doc.to_model()
@@ -467,15 +482,17 @@ fn ingest_reader_parallel(
             let queue_depth = &queue_depth;
             let queue_max_depth = &queue_max_depth;
             let push_batch = move |b: Batch, tx: &mpsc::SyncSender<Batch>| {
-                if tx.send(b).is_err() {
-                    return false; // all workers are gone (fatal path)
-                }
+                // Gauges before send, as the serve acceptor does: a worker
+                // may dequeue (and pop) the instant the send lands, and
+                // the pop saturates at zero, so push-after-send drifts the
+                // gauges up by one each time it loses that race.
                 let depth = queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
                 queue_max_depth.fetch_max(depth, Ordering::Relaxed);
                 if let Some(p) = &options.progress {
                     p.queue_push();
                 }
-                true
+                // Err: all workers are gone (fatal path).
+                tx.send(b).is_ok()
             };
             std::thread::Builder::new()
                 .name("ingest-frame".into())
@@ -784,6 +801,106 @@ mod tests {
             assert_eq!((a.offset, a.kind), (b.offset, b.kind));
             assert_eq!(a.record, b.record);
         }
+    }
+
+    #[test]
+    fn ingest_slice_quarantines_deep_nesting_and_keeps_neighbours() {
+        // 20,000 nested arrays: an unbounded recursive parser overflows
+        // the stack here, which aborts the process past `catch_unwind`.
+        let deep = format!("{{\"deep\":{}{}}}", "[".repeat(20_000), "]".repeat(20_000));
+        let input = format!("{}\n{deep}\n{}\n", tr_json(1, 1000), tr_json(2, 1001));
+        let mut probes = Vec::new();
+        let quarantined = ingest_slice(input.as_bytes(), |_, _, tr| probes.push(tr.probe.0));
+        assert_eq!(probes, vec![1, 2]);
+        assert_eq!(quarantined.len(), 1);
+        let q = &quarantined[0];
+        assert_eq!(q.kind, QuarantineKind::Json);
+        assert_eq!(q.offset as usize, tr_json(1, 1000).len() + 1);
+        assert_eq!(q.record, deep.as_bytes());
+        assert!(
+            q.detail.contains("recursion limit exceeded"),
+            "{}",
+            q.detail
+        );
+    }
+
+    /// The serde-only decode the direct decoder short-circuits: what
+    /// `decode_record` did before it, kept here as the oracle.
+    fn serde_only(bytes: &[u8]) -> Result<TracerouteResult, (QuarantineKind, String)> {
+        let text = std::str::from_utf8(bytes).map_err(|e| (QuarantineKind::Json, e.to_string()))?;
+        let doc: AtlasTraceroute =
+            serde_json::from_str(text).map_err(|e| (QuarantineKind::Json, e.to_string()))?;
+        doc.to_model()
+            .map_err(|e| (QuarantineKind::Model, e.to_string()))
+    }
+
+    #[test]
+    fn ingest_slice_matches_a_serde_only_decode() {
+        // Canonical records, variants the direct decoder declines but
+        // serde accepts, variants both reject, and every truncation of
+        // one record, each on its own line.
+        let good = tr_json(7, 1234);
+        let without_fw = good.replacen("\"fw\":5080,", "", 1);
+        let reordered = format!("{},\"fw\":5080}}", &without_fw[..without_fw.len() - 1]);
+        let mut lines: Vec<String> = vec![
+            good.clone(),
+            good.replace("\"ICMP\"", r#""IC\u004dP""#),
+            reordered,
+            good.replacen('{', r#"{"lts":22,"meta":{"a":[1,null,"x"]},"#, 1),
+            good.replacen("\"af\":4", "\"af\":4,\"af\":6", 1),
+            good.replace("1.25", "-0"),
+            good.replace("1.25", "1e2"),
+            good.replace("\"hop\":1", "\"hop\":256"),
+            good.replace("\"prb_id\":7", "\"prb_id\":07"),
+            good.replace("\"timestamp\":1234", "\"timestamp\":-1234"),
+            good.replace("traceroute", "ping"),
+            good.replace("20.9.9.9", "not-an-ip"),
+            good.replace("192.168.1.1", "2001:db8::1"),
+            format!("{{\"x\":{}{}}}", "[".repeat(200), "]".repeat(200)),
+            "{\"bad\u{1}\":1}".to_string(),
+        ];
+        lines.extend((1..good.len()).map(|end| good[..end].to_string()));
+        let input = lines.join("\n") + "\n";
+
+        let mut delivered: Vec<(u64, TracerouteResult)> = Vec::new();
+        let quarantined = ingest_slice(input.as_bytes(), |offset, _, tr| {
+            delivered.push((offset, tr))
+        });
+
+        let mut want_delivered = Vec::new();
+        let mut want_quarantined = Vec::new();
+        let mut handle = |frame: Frame<'_>| match frame {
+            Frame::Doc { offset, bytes } => match serde_only(bytes) {
+                Ok(tr) => want_delivered.push((offset, tr)),
+                Err((kind, detail)) => {
+                    want_quarantined.push((offset, kind, detail, bytes.to_vec()))
+                }
+            },
+            Frame::Junk {
+                offset,
+                bytes,
+                reason,
+            } => want_quarantined.push((
+                offset,
+                QuarantineKind::Framing,
+                reason.to_string(),
+                bytes.to_vec(),
+            )),
+        };
+        let mut splitter = DocSplitter::new();
+        splitter.feed(input.as_bytes(), &mut handle);
+        splitter.finish(&mut handle);
+
+        assert_eq!(delivered, want_delivered);
+        let got: Vec<_> = quarantined
+            .into_iter()
+            .map(|q| (q.offset, q.kind, q.detail, q.record))
+            .collect();
+        assert_eq!(got, want_quarantined);
+        // Not vacuous: both outcomes occur, and some accepted records
+        // took the serde fallback.
+        assert!(delivered.len() >= 6, "{}", delivered.len());
+        assert!(got.len() > good.len(), "{}", got.len());
     }
 
     #[test]

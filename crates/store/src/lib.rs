@@ -338,6 +338,15 @@ impl SeriesStore {
         }
     }
 
+    /// Count a lookup made before the request's window is known — a
+    /// `classify` that resolves its window from the data span only after
+    /// the stream — and answer it as the store answers any window it
+    /// cannot serve: [`Lookup::Bypass`].
+    pub fn bypass(&self) -> Lookup {
+        self.bypasses.fetch_add(1, Ordering::Relaxed);
+        Lookup::Bypass
+    }
+
     /// Memoize a freshly built series for `range`. The series must have
     /// been built from exactly the traceroutes of `range` with the key's
     /// binning parameters; overlapping inserts must agree on shared bins
@@ -660,6 +669,14 @@ mod tests {
                 .inserted
         );
         assert_eq!(ro.len(), 1);
+    }
+
+    #[test]
+    fn windowless_lookup_counts_a_bypass() {
+        let store = SeriesStore::default();
+        assert!(matches!(store.bypass(), Lookup::Bypass));
+        assert_eq!(store.counters().bypasses, 1);
+        assert_eq!(store.counters().hits + store.counters().misses, 0);
     }
 
     #[test]

@@ -30,14 +30,27 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
     jsonl="$work/traceroutes.jsonl"
     array="$work/traceroutes.json"
     { printf '['; sed '$!s/$/,/' "$jsonl"; printf ']'; } >"$array"
-    # A corrupted copy exercises quarantine identity: a torn record and
-    # a non-JSON line spliced between intact records.
+    # A corrupted copy exercises quarantine identity: a torn record, a
+    # non-JSON line and a record nested 20,000 deep (a json quarantine,
+    # not a stack-overflow abort) spliced between intact records. Record
+    # 4 gets an escaped string, outside the direct decoder's canonical
+    # shape, so the serde fallback must accept it; record 5 gets
+    # reordered keys, which the direct decoder takes in any order.
     corrupt="$work/corrupt.jsonl"
+    deep=$(printf '%20000s' '' | tr ' ' '[')$(printf '%20000s' '' | tr ' ' ']')
     {
         head -n 3 "$jsonl"
         printf '{"torn": \nnot json at all\n'
-        tail -n +4 "$jsonl"
+        printf '{"deep":%s}\n' "$deep"
+        sed -n '4s/"proto":"ICMP"/"proto":"IC\\u004dP"/p' "$jsonl"
+        sed -n '5s/^{"fw":\([0-9]*\),\(.*\)}$/{\2,"fw":\1}/p' "$jsonl"
+        tail -n +6 "$jsonl"
     } >"$corrupt"
+    records=$(wc -l <"$jsonl")
+    [ "$(wc -l <"$corrupt")" -eq $((records + 3)) ] || {
+        echo "FAIL: the fallback-path rewrites did not apply" >&2
+        exit 1
+    }
     for form in lines array corrupt; do
         case $form in
             lines) file=$jsonl ;;
@@ -53,7 +66,7 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
             # shellcheck disable=SC2086 # $args is intentionally word-split
             "$bin" classify --traceroutes "$file" --probes "$work/probes.json" \
                 $args --json --quarantine "$work/q.$form.$label.jsonl" \
-                >"$work/out.$form.$label.json" 2>/dev/null
+                >"$work/out.$form.$label.json" 2>"$work/err.$form.$label"
             if [ "$label" != serial ]; then
                 cmp "$work/out.$form.serial.json" "$work/out.$form.$label.json" || {
                     echo "FAIL: $form $label classify --json differs from serial" >&2
@@ -66,10 +79,16 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
             fi
         done
     done
-    # The corrupted corpus must actually have quarantined something, or
-    # the quarantine identity above is vacuous.
-    [ -s "$work/q.corrupt.serial.jsonl" ] || {
-        echo "FAIL: corrupted corpus produced an empty quarantine dump" >&2
+    # The corrupted corpus must quarantine exactly its three bad records
+    # (or the identity above is vacuous) and deliver every other one,
+    # the two fallback-path records included.
+    grep -q "\[input\] $records traceroutes parsed, 3 skipped" "$work/err.corrupt.serial" || {
+        echo "FAIL: corrupted corpus did not parse $records records and skip 3" >&2
+        cat "$work/err.corrupt.serial" >&2
+        exit 1
+    }
+    grep -q 'recursion limit exceeded' "$work/q.corrupt.serial.jsonl" || {
+        echo "FAIL: the deeply nested record is not in the quarantine dump" >&2
         exit 1
     }
     echo "OK: ingest smoke passed (classify --json and quarantine byte-identical across modes)"
