@@ -27,7 +27,7 @@ use std::net::IpAddr;
 
 mod direct;
 
-pub use direct::decode_traceroute;
+pub use direct::{decode_traceroute, peek_probe};
 
 /// One reply entry in the Atlas `result` array.
 #[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq)]

@@ -110,6 +110,46 @@ pub fn decode_traceroute(text: &str) -> Option<TracerouteResult> {
     })
 }
 
+/// The probe id of one Atlas traceroute document, read without decoding
+/// the rest: the value of the first top-level `"prb_id"` key. Values of
+/// the keys before it, nested ones included, are only checked for syntax
+/// and skipped, so key order decides how much is read but not the
+/// answer: a record that puts `prb_id` before `result` (as `fleet gen`
+/// does) is read only up to its hundred-odd first bytes, one that puts
+/// `result` first (as the Atlas API does) is scanned through the hops,
+/// still without building anything.
+///
+/// Returns `None` for anything unusual before or at that key: an escape
+/// in a string (a nested one included) or a key, a number outside strict
+/// JSON grammar, a `prb_id` out of `u32` range or not followed by `,` or
+/// `}`, nesting at the recursion limit, malformed syntax. Whenever it
+/// returns `Some(p)` and the serde path accepts the whole record, the
+/// decoded model's probe is `p`: only top-level keys name fields, serde
+/// keeps the first of duplicate keys, and no escaped key (which could
+/// decode to `prb_id`) comes before this one. It says nothing about
+/// whether the rest of the record is valid.
+pub fn peek_probe(text: &str) -> Option<ProbeId> {
+    let mut s = Scan::new(text);
+    s.ws();
+    s.eat(b'{')?;
+    loop {
+        s.ws();
+        let key = s.string()?;
+        s.ws();
+        s.eat(b':')?;
+        s.ws();
+        if key == "prb_id" {
+            let probe = s.uint().map(ProbeId)?;
+            s.ws();
+            return matches!(s.peek(), Some(b',' | b'}')).then_some(probe);
+        }
+        // The record object is nesting level 1, as in `decode_traceroute`.
+        s.skip(1)?;
+        s.ws();
+        s.eat(b',')?;
+    }
+}
+
 /// A cursor over one record's text.
 struct Scan<'a> {
     text: &'a str,
@@ -454,6 +494,60 @@ mod tests {
     }
 
     #[test]
+    fn peek_reads_the_first_top_level_prb_id() {
+        assert_eq!(peek_probe(RECORD), Some(ProbeId(6042)));
+        // Nothing after the value's comma is read.
+        let head = &RECORD[..RECORD.find("6042").unwrap() + 5];
+        assert_eq!(peek_probe(head), Some(ProbeId(6042)));
+        let leading = RECORD.replacen('{', " {\"lts\":-2.5e3,\"ok\":true,\"n\":null,", 1);
+        assert_eq!(peek_probe(&leading), Some(ProbeId(6042)));
+        // After `prb_id` nothing is read: nested values are fine there.
+        let trailing = RECORD.replace(r#""prb_id":6042,"#, r#""prb_id":6042,"meta":{"prb_id":1},"#);
+        assert_eq!(peek_probe(&trailing), Some(ProbeId(6042)));
+        // Before it, nested values are skipped: their keys name no field.
+        for nested in [
+            r#"{"meta":{"prb_id":1},"#,
+            r#"{"meta":[],"#,
+            r#"{"m":[{"a":[null]}],"#,
+        ] {
+            assert_eq!(
+                peek_probe(&RECORD.replacen('{', nested, 1)),
+                Some(ProbeId(6042)),
+                "{nested}"
+            );
+        }
+        let result_first = RECORD.replace(r#""prb_id":6042,"#, "").replacen(
+            '{',
+            r#"{"result":[{"hop":1,"result":[{"x":"*"}]}],"prb_id":6042,"#,
+            1,
+        );
+        assert_eq!(peek_probe(&result_first), Some(ProbeId(6042)));
+        let cases = [
+            RECORD.replace(r#""prb_id""#, r#""prb\u005fid""#),
+            RECORD.replace(r#""fw":5080,"#, r#""fw":5080,"p":"a\nb","#),
+            RECORD.replacen('{', r#"{"meta":{"p":"a\"b"},"#, 1),
+            RECORD.replacen('{', r#"{"meta":[1,],"#, 1),
+            RECORD.replace("6042", "06042"),
+            RECORD.replace("6042", "-6042"),
+            RECORD.replace("6042", "6042.0"),
+            RECORD.replace("6042", "1e3"),
+            RECORD.replace("6042", "4294967296"),
+            RECORD.replace("6042", r#""6042""#),
+            RECORD.replace(r#""prb_id":6042,"#, ""),
+            RECORD.replace("6042,", "6042 x,"),
+            RECORD[..RECORD.find("6042").unwrap() + 2].to_string(),
+            RECORD[..RECORD.find("6042").unwrap() + 4].to_string(),
+            RECORD.replacen('{', "[", 1),
+            RECORD.replace(r#""fw":5080"#, r#""fw" 5080"#),
+            String::new(),
+            "{}".to_string(),
+        ];
+        for case in &cases {
+            assert_eq!(peek_probe(case), None, "{case}");
+        }
+    }
+
+    #[test]
     fn nesting_stops_at_the_recursion_limit() {
         let nest = |levels: usize| {
             RECORD.replacen(
@@ -465,6 +559,8 @@ mod tests {
         // The record object is level 1, so `levels` arrays reach 1 + levels.
         assert!(decode_traceroute(&nest(RECURSION_LIMIT - 2)).is_some());
         assert!(decode_traceroute(&nest(RECURSION_LIMIT - 1)).is_none());
+        assert_eq!(peek_probe(&nest(RECURSION_LIMIT - 2)), Some(ProbeId(6042)));
+        assert_eq!(peek_probe(&nest(RECURSION_LIMIT - 1)), None);
         assert!(decode_traceroute(&nest(20_000)).is_none());
     }
 }

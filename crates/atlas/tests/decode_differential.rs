@@ -7,8 +7,13 @@
 //! fields, duplicate keys, escapes, unusual reply shapes, IPv6, odd
 //! numbers, out-of-range integers), every truncation of a valid record,
 //! and nesting around the recursion limit.
+//!
+//! The same inputs hold `peek_probe` to its own property: whenever it
+//! returns a probe id and the serde path accepts the record, the decoded
+//! model carries that probe. Rewrites aimed at it add escaped, nested
+//! and duplicate `prb_id` keys.
 
-use lastmile_atlas::json::{decode_traceroute, to_atlas_json, AtlasTraceroute};
+use lastmile_atlas::json::{decode_traceroute, peek_probe, to_atlas_json, AtlasTraceroute};
 use lastmile_atlas::{Hop, ProbeId, Reply, TracerouteResult};
 use lastmile_timebase::UnixTime;
 use proptest::prelude::*;
@@ -28,8 +33,18 @@ fn rtt_bits(tr: &TracerouteResult) -> Vec<Option<u64>> {
         .collect()
 }
 
-/// Check the property on `text` and return the direct decoder's answer.
+/// Check the peek property on `text` and return the peeked probe.
+fn peek_agrees(text: &str) -> Option<ProbeId> {
+    let peeked = peek_probe(text);
+    if let (Some(p), Ok(tr)) = (peeked, serde_path(text)) {
+        assert_eq!(tr.probe, p, "peek disagrees with serde on {text}");
+    }
+    peeked
+}
+
+/// Check both properties on `text` and return the direct decoder's answer.
 fn agrees(text: &str) -> Option<TracerouteResult> {
+    peek_agrees(text);
     let direct = decode_traceroute(text);
     if let Some(tr) = &direct {
         let oracle = serde_path(text)
@@ -289,12 +304,82 @@ proptest! {
     }
 
     #[test]
+    fn rendered_records_peek_their_probe(case in arb_traceroute(0..4)) {
+        let (tr, public) = case;
+        let text = to_atlas_json(&tr, public);
+        prop_assert_eq!(peek_agrees(&text), Some(tr.probe));
+    }
+
+    #[test]
+    fn prb_id_rewrites_never_mislead_the_peek(
+        case in arb_traceroute(1..3),
+        kind in 0usize..PRB_REWRITES,
+        pick in 0usize..64,
+        pos in 0usize..16,
+    ) {
+        let (tr, public) = case;
+        let doc: Value = serde_json::from_str(&to_atlas_json(&tr, public)).unwrap();
+        agrees(&prb_rewrite(&doc, kind, pick, pos));
+    }
+
+    #[test]
     fn every_truncation_is_declined(case in arb_traceroute(1..3)) {
         let (tr, public) = case;
         let text = to_atlas_json(&tr, public);
         for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
             prop_assert!(agrees(&text[..end]).is_none(), "truncated at {end}: {}", &text[..end]);
         }
+    }
+}
+
+/// How many kinds of [`prb_rewrite`] there are.
+const PRB_REWRITES: usize = 5;
+
+/// One rewrite aimed at the peek: the record's keys reordered, a second
+/// `prb_id` (literal or escaped, with the same or another value), an
+/// escaped `prb_id` instead of the literal one, or a nested unknown field
+/// holding a `prb_id` of its own, each at any position.
+fn prb_rewrite(doc: &Value, kind: usize, pick: usize, pos: usize) -> String {
+    let mut doc = doc.clone();
+    let fields = fields_at(&mut doc, Level::Record);
+    let n = fields.len();
+    let at = pos % (n + 1);
+    let other: Value = serde_json::from_str(&pick.to_string()).unwrap();
+    let mut escaped = None;
+    match kind % PRB_REWRITES {
+        0 => fields.rotate_left(pos % n),
+        1 => {
+            let value = if pick.is_multiple_of(2) {
+                fields
+                    .iter()
+                    .find(|(k, _)| k == "prb_id")
+                    .unwrap()
+                    .1
+                    .clone()
+            } else {
+                other
+            };
+            fields.insert(at, ("prb_id".into(), value));
+        }
+        2 => {
+            fields.insert(at, ("@@prb@@".into(), other));
+            escaped = Some(r#""prb\u005fid""#);
+        }
+        3 => {
+            let i = fields.iter().position(|(k, _)| k == "prb_id").unwrap();
+            fields[i].0 = "@@prb@@".into();
+            escaped = Some(r#""prb\u005fid""#);
+        }
+        _ => {
+            let nested = format!(r#"{{"prb_id":{pick},"inner":[{{"prb_id":{pick}}}]}}"#);
+            let nested: Value = serde_json::from_str(&nested).unwrap();
+            fields.insert(at, ("meta".into(), nested));
+        }
+    }
+    let text = serde_json::to_string(&doc).unwrap();
+    match escaped {
+        Some(key) => text.replace("\"@@prb@@\"", key),
+        None => text,
     }
 }
 
@@ -362,6 +447,44 @@ fn canonical_variants_stay_on_the_direct_path() {
     for (pick, suffix) in SUFFIXES.iter().enumerate() {
         let whitespace = suffix.trim().is_empty();
         assert_eq!(direct(8, 0, pick, 1).is_some(), whitespace, "{suffix:?}");
+    }
+}
+
+/// Every `prb_id` rewrite of the fixed sample. Serde keeps the first of
+/// duplicate keys, escaped or not; the peek answers with the first
+/// literal top-level `prb_id` when no escaped key or string comes before
+/// it, whatever the key order and whatever is nested before it.
+#[test]
+fn prb_id_variants_peek_only_when_unambiguous() {
+    let (doc, text) = sample();
+    assert_eq!(peek_agrees(&text), Some(ProbeId(6042)));
+    for pos in 0..16 {
+        // Reordered keys, the `result` array first included: found.
+        let rotated = prb_rewrite(&doc, 0, 0, pos);
+        assert_eq!(peek_agrees(&rotated), Some(ProbeId(6042)), "{rotated}");
+        for pick in 0..2 {
+            // A second literal `prb_id`: both read the first.
+            let dup = prb_rewrite(&doc, 1, pick, pos);
+            let first = serde_path(&dup).unwrap().probe;
+            assert_eq!(peek_agrees(&dup), Some(first), "{dup}");
+            // A second, escaped one: before the literal, the peek declines.
+            let extra = prb_rewrite(&doc, 2, pick, pos);
+            let before = extra.find("prb\\u005fid").unwrap() < extra.find("\"prb_id\"").unwrap();
+            assert!(serde_path(&extra).is_ok(), "{extra}");
+            assert_eq!(
+                peek_agrees(&extra),
+                (!before).then_some(ProbeId(6042)),
+                "{extra}"
+            );
+        }
+        // The only `prb_id` escaped: serde accepts it, the peek declines.
+        let escaped = prb_rewrite(&doc, 3, 0, pos);
+        assert_eq!(peek_agrees(&escaped), None, "{escaped}");
+        assert_eq!(serde_path(&escaped).unwrap().probe, ProbeId(6042));
+        // A nested object holding `prb_id` keys of its own, before or
+        // after the top-level one: the top-level value stands.
+        let nested = prb_rewrite(&doc, 4, 1, pos);
+        assert_eq!(peek_agrees(&nested), Some(ProbeId(6042)), "{nested}");
     }
 }
 

@@ -36,7 +36,9 @@ pub struct PrimeReport {
 /// re-read through the same ingest path `classify` uses: the builders see
 /// exactly what a `--probes`/ASN-0 classify would feed them — no
 /// round-trip-fidelity assumption, and any export bug surfaces here as a
-/// quarantined record instead of a poisoned snapshot.
+/// quarantined record instead of a poisoned snapshot. Quarantined input
+/// is refused, so the snapshot always carries the source-quarantine-free
+/// flag and a warm classify may skip decoding the records it serves.
 ///
 /// The window must be the exact window a warm classify will pass via
 /// `--start`/`--end` (the store only serves range-identical requests).
@@ -72,6 +74,7 @@ pub fn prime_snapshot(
         let built = builder.finish_detailed();
         store.insert(&StoreKey::for_pipeline(probe, &cfg), window, &built);
     }
+    store.set_source_quarantine_free(true);
     std::fs::create_dir_all(cache_dir)
         .map_err(|e| format!("create --cache-dir {cache_dir}: {e}"))?;
     let snapshot = std::path::Path::new(cache_dir).join(SNAPSHOT_FILE);
@@ -208,27 +211,143 @@ pub fn combine_fingerprints(a: u64, b: u64) -> u64 {
     h
 }
 
-/// Fingerprint a data file by content (FNV-1a over its bytes): the same
-/// bytes give the same fingerprint wherever the file lives, and any
-/// content change invalidates snapshots built from it.
+/// Read size of [`file_fingerprint`]: one fixed buffer, so the scan's
+/// memory does not grow with the file.
+const FINGERPRINT_BUF: usize = 256 * 1024;
+
+/// Fingerprint a data file by content (XXH64, seed 0, over its bytes):
+/// the same bytes give the same fingerprint wherever the file lives, and
+/// any content change invalidates snapshots built from it.
 pub fn file_fingerprint(path: &str) -> Result<u64, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let mut reader = std::io::BufReader::new(file);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut buf = [0u8; 64 * 1024];
+    let mut file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    let mut hasher = Xxh64::default();
+    let mut buf = vec![0u8; FINGERPRINT_BUF];
     loop {
-        let n = reader
-            .read(&mut buf)
-            .map_err(|e| format!("read {path}: {e}"))?;
-        if n == 0 {
-            break;
-        }
-        for &b in &buf[..n] {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
+        let n = match file.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(format!("read {path}: {e}")),
+        };
+        hasher.update(&buf[..n]);
+    }
+    Ok(hasher.finish())
+}
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Streaming XXH64 with seed 0: four 64-bit lanes over 32-byte stripes,
+/// so it runs at memory speed.
+struct Xxh64 {
+    lanes: [u64; 4],
+    total: u64,
+    /// A partial stripe carried between `update` calls.
+    tail: [u8; 32],
+    tail_len: usize,
+}
+
+impl Default for Xxh64 {
+    fn default() -> Xxh64 {
+        Xxh64 {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            total: 0,
+            tail: [0; 32],
+            tail_len: 0,
         }
     }
-    Ok(h)
+}
+
+fn xxh_round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn read_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+impl Xxh64 {
+    /// Fold whole 32-byte stripes into the lanes, held in registers.
+    fn stripes<'a>(&mut self, stripes: impl Iterator<Item = &'a [u8]>) {
+        let [mut v1, mut v2, mut v3, mut v4] = self.lanes;
+        for s in stripes {
+            v1 = xxh_round(v1, read_u64(&s[0..8]));
+            v2 = xxh_round(v2, read_u64(&s[8..16]));
+            v3 = xxh_round(v3, read_u64(&s[16..24]));
+            v4 = xxh_round(v4, read_u64(&s[24..32]));
+        }
+        self.lanes = [v1, v2, v3, v4];
+    }
+
+    fn update(&mut self, mut data: &[u8]) {
+        self.total += data.len() as u64;
+        if self.tail_len > 0 {
+            let take = (32 - self.tail_len).min(data.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&data[..take]);
+            self.tail_len += take;
+            data = &data[take..];
+            if self.tail_len < 32 {
+                return;
+            }
+            let tail = self.tail;
+            self.stripes(std::iter::once(&tail[..]));
+            self.tail_len = 0;
+        }
+        let mut stripes = data.chunks_exact(32);
+        self.stripes(&mut stripes);
+        let rest = stripes.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = if self.total >= 32 {
+            let [v1, v2, v3, v4] = self.lanes;
+            let mut h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            for v in self.lanes {
+                h = (h ^ xxh_round(0, v)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            h
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.total);
+        let mut rest = &self.tail[..self.tail_len];
+        while rest.len() >= 8 {
+            h = (h ^ xxh_round(0, read_u64(rest)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            let word = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
+            h = (h ^ u64::from(word).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &b in rest {
+            h = (h ^ u64::from(b).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
 }
 
 #[cfg(test)]
@@ -249,6 +368,66 @@ mod tests {
         std::fs::write(&b, "other bytes").unwrap();
         assert_ne!(fa, file_fingerprint(b.to_str().unwrap()).unwrap());
         assert!(file_fingerprint("/does/not/exist").is_err());
+    }
+
+    fn xxh64(bytes: &[u8]) -> u64 {
+        let mut h = Xxh64::default();
+        h.update(bytes);
+        h.finish()
+    }
+
+    #[test]
+    fn xxh64_known_answers() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // Seed-0 rows of the xxHash project's sanity-test table (xxhsum's
+        // `XSUM_XXH64_testdata`), over its generated buffer: byte i is the
+        // top byte of PRIME32 * PRIME64^i, with xxhsum's PRIME32 =
+        // 2654435761 and PRIME64 = 11400714785074694797. The 222-byte row
+        // runs six 32-byte stripes through the four lanes and the merge
+        // rounds.
+        let mut gen = 2_654_435_761u64;
+        let sanity: Vec<u8> = (0..222)
+            .map(|_| {
+                let byte = (gen >> 56) as u8;
+                gen = gen.wrapping_mul(11_400_714_785_074_694_797);
+                byte
+            })
+            .collect();
+        for (len, want) in [
+            (1, 0xE934_A84A_DB05_2768),
+            (4, 0x9136_A0DC_A574_57EE),
+            (14, 0x8282_DCC4_994E_35C8),
+            (222, 0xB641_AE8C_B691_C174),
+        ] {
+            assert_eq!(xxh64(&sanity[..len]), want, "sanity buffer, {len} bytes");
+        }
+        // Split updates agree with one-shot hashing at every cut.
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        for cut in 0..data.len() {
+            let mut h = Xxh64::default();
+            h.update(&data[..cut]);
+            h.update(&data[cut..]);
+            assert_eq!(h.finish(), xxh64(&data), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_of_a_file_longer_than_the_buffer_is_its_xxh64() {
+        let dir = std::env::temp_dir().join("lastmile-cache-xxh-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("big-{}.bin", std::process::id()));
+        let len = FINGERPRINT_BUF * 2 + 37;
+        assert_ne!(len % 32, 0);
+        let data: Vec<u8> = (0..len as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 7) as u8)
+            .collect();
+        std::fs::write(&path, &data).unwrap();
+        assert_eq!(
+            file_fingerprint(path.to_str().unwrap()).unwrap(),
+            xxh64(&data)
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

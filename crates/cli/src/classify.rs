@@ -38,7 +38,9 @@ use std::sync::Arc;
 /// aligned to bin boundaries — pass explicit midnight-aligned
 /// `--start`/`--end`. Without them the window is the data span, known
 /// only at the end: no probe is served, and write-back still runs if
-/// that span happens to be aligned.
+/// that span happens to be aligned. A `--cache rw` run marks the snapshot
+/// source-quarantine-free iff its pass quarantined nothing, which lets
+/// later warm runs skip decoding served records (see [`analyze_corpus`]).
 ///
 /// Under per-traceroute ASN attribution (`--bgp` without `--probes`) a
 /// probe can legitimately split across AS pipelines, but the store holds
@@ -68,11 +70,15 @@ pub fn analyze_file_with_cache(
 ) -> Result<AnalysesAndCache, String> {
     let paths = vec![flags.required("traceroutes")?.to_string()];
     let cache = cache::from_flags(flags, || corpus_fingerprint(flags, &paths), metrics)?;
-    let results = analyze_corpus(flags, &paths, metrics, cache.as_ref())?;
+    let analysis = analyze_corpus(flags, &paths, metrics, cache.as_ref())?;
     if let Some(c) = &cache {
+        // The pass read the fingerprinted files, so it knows whether they
+        // decode with zero quarantine.
+        c.store
+            .set_source_quarantine_free(analysis.quarantined == 0);
         c.persist(metrics)?;
     }
-    Ok((results, cache))
+    Ok((analysis.populations, cache))
 }
 
 /// The source fingerprint for a (possibly multi-file) corpus: the files'
@@ -92,6 +98,14 @@ pub fn corpus_fingerprint(flags: &Flags, paths: &[String]) -> Result<u64, String
     Ok(f)
 }
 
+/// What [`analyze_corpus`] produced.
+pub struct CorpusAnalysis {
+    /// One analysis per ASN.
+    pub populations: Vec<(Asn, PopulationAnalysis)>,
+    /// Records the pass quarantined, across all files.
+    pub quarantined: usize,
+}
+
 /// The core analysis over a corpus of one or more traceroute files
 /// (streamed in order, as if concatenated), reading each record once.
 /// `--start`/`--end` filter at ingest; a bound not given resolves to the
@@ -101,12 +115,28 @@ pub fn corpus_fingerprint(flags: &Flags, paths: &[String]) -> Result<u64, String
 /// `cache` when one is given, but neither builds nor persists it — a
 /// long-lived caller (the `serve` daemon's re-analysis engine) owns the
 /// cache across many calls and persists once at shutdown.
+///
+/// A served probe's records are read and framed but not decoded when
+/// the store says its source decodes with zero quarantine
+/// ([`SeriesStore::source_quarantine_free`], from the snapshot flag), the
+/// window is explicit, and routing does not need the record (not `--bgp`
+/// without `--probes`). Before the stream the set of routable probes the
+/// store covers for the window goes to the ingest, which counts their
+/// records (`ingest.records_skipped_served`) instead of decoding them;
+/// after it, each such probe seen is looked up once, as a decoded record
+/// would have been, so the store counters do not change. Over exactly
+/// the fingerprinted bytes no skipped record could have been
+/// quarantined, so output and quarantine match a cold run. A caller that
+/// reads bytes the fingerprint does not name must clear the store flag
+/// first.
+///
+/// [`SeriesStore::source_quarantine_free`]: lastmile_repro::store::SeriesStore::source_quarantine_free
 pub fn analyze_corpus(
     flags: &Flags,
     paths: &[String],
     metrics: Option<&RunMetrics>,
     cache: Option<&Cache>,
-) -> Result<Vec<(Asn, PopulationAnalysis)>, String> {
+) -> Result<CorpusAnalysis, String> {
     let mut ingest_opts = ingest_options(flags)?;
     // `--progress` gauges are shared with the ingest workers; the
     // heartbeat thread lives for the whole analysis and is stopped and
@@ -197,6 +227,26 @@ pub fn analyze_corpus(
     };
     let counters_before = cache.map(|c| c.store.counters());
 
+    // The probes whose records need no decode (see the doc comment).
+    if let (Some(c), Some(window), false) = (cache, &explicit_window, per_traceroute_asn) {
+        if c.store.source_quarantine_free() {
+            let covered: BTreeSet<ProbeId> = c
+                .store
+                .keys()
+                .into_iter()
+                .filter(|key| *key == StoreKey::for_pipeline(key.probe, &cfg))
+                .filter(|key| {
+                    probe_to_asn
+                        .as_ref()
+                        .is_none_or(|map| map.contains_key(&key.probe))
+                })
+                .filter(|key| c.store.covers(key, window))
+                .map(|key| key.probe)
+                .collect();
+            ingest_opts.skip_probes = (!covered.is_empty()).then(|| Arc::new(covered));
+        }
+    }
+
     // The pass: route into per-AS pipelines. Probe metadata wins;
     // otherwise the BGP table maps the first public hop (the paper's ISP
     // edge) to its origin ASN; otherwise everything is one population
@@ -209,6 +259,8 @@ pub fn analyze_corpus(
     let mut served: BTreeMap<ProbeId, (Asn, PrebuiltSeries)> = BTreeMap::new();
     let mut unserved: BTreeSet<ProbeId> = BTreeSet::new();
     let mut parsed = 0u64;
+    let mut skipped_served = 0u64;
+    let mut skipped_probes: BTreeSet<ProbeId> = BTreeSet::new();
     let mut quarantined_all = Vec::new();
     let ingest_timer = StageTimer::start();
     for path in paths {
@@ -257,14 +309,44 @@ pub fn analyze_corpus(
                 .ingest(&tr);
         })?;
         parsed += summary.parsed;
+        skipped_served += summary.records_skipped_served;
         if let Some(m) = metrics {
             m.add_ingest_traffic(&ingest_traffic(&summary));
             m.merge_decode_hist(&summary.decode_hist);
         }
+        skipped_probes.extend(summary.skipped_probes);
         quarantined_all.extend(summary.quarantined);
     }
+    // Skipped records were counted, not decoded: look each of their
+    // probes up once, as the first decoded record of a probe is.
+    if let (Some(c), Some(window)) = (cache, &explicit_window) {
+        for probe in skipped_probes {
+            if let Entry::Vacant(slot) = served.entry(probe) {
+                let asn = probe_to_asn
+                    .as_ref()
+                    .and_then(|map| map.get(&probe))
+                    .copied()
+                    .unwrap_or(0);
+                match c.store.lookup(&StoreKey::for_pipeline(probe, &cfg), window) {
+                    Lookup::Hit(pre) => {
+                        slot.insert((asn, pre));
+                    }
+                    Lookup::Miss | Lookup::Bypass => {
+                        return Err(format!(
+                            "series cache stopped serving probe {probe} during the pass"
+                        ))
+                    }
+                }
+            }
+        }
+    }
+    let served_note = if skipped_served > 0 {
+        format!(", {skipped_served} served from cache")
+    } else {
+        String::new()
+    };
     eprintln!(
-        "[input] {parsed} traceroutes parsed, {} skipped",
+        "[input] {parsed} traceroutes parsed, {} skipped{served_note}",
         quarantined_all.len()
     );
     if let Some(qpath) = flags.optional("quarantine") {
@@ -351,7 +433,10 @@ pub fn analyze_corpus(
             m.add_store_traffic(&store_traffic_since(before, c.store.counters()));
         }
     }
-    Ok(results)
+    Ok(CorpusAnalysis {
+        populations: results,
+        quarantined: quarantined_all.len(),
+    })
 }
 
 /// One ASN's classification document. Shared by `classify --json` and

@@ -34,6 +34,7 @@ pub fn ingest_traffic(summary: &IngestSummary) -> IngestTraffic {
     IngestTraffic {
         bytes_read: summary.bytes_read,
         records_decoded: summary.parsed,
+        records_skipped_served: summary.records_skipped_served,
         quarantined_framing: summary.quarantined_of(QuarantineKind::Framing),
         quarantined_json: summary.quarantined_of(QuarantineKind::Json),
         quarantined_model: summary.quarantined_of(QuarantineKind::Model),

@@ -234,8 +234,14 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     let cache: Option<Arc<Cache>> =
         cache::from_flags(flags, || corpus_fingerprint(flags, &paths), Some(&metrics))?
             .map(Arc::new);
-    let results = analyze_corpus(flags, &paths, Some(&metrics), cache.as_deref())?;
+    let results = analyze_corpus(flags, &paths, Some(&metrics), cache.as_deref())?.populations;
     metrics.set_wall(&run_timer);
+    // Only this startup analysis reads bytes the fingerprint names: live
+    // passes read a grown corpus, so they must decode every record, and
+    // the daemon's snapshots never claim a quarantine-free source.
+    if let Some(c) = &cache {
+        c.store.set_source_quarantine_free(false);
+    }
     if results.is_empty() {
         return Err("no analysable traceroutes in the window".into());
     }
@@ -322,7 +328,8 @@ pub fn run(flags: &Flags) -> Result<(), String> {
                 let run = RunMetrics::new();
                 let timer = StageTimer::start();
                 let outcome = (|| {
-                    let results = analyze_corpus(&flags, &paths, Some(&run), cache.as_deref())?;
+                    let results =
+                        analyze_corpus(&flags, &paths, Some(&run), cache.as_deref())?.populations;
                     run.set_wall(&timer);
                     if results.is_empty() {
                         return Err("no analysable traceroutes in the window".into());

@@ -209,13 +209,22 @@ fn fleet_gen_primes_cache_for_zero_reingest_warm_classify() {
         Some(0),
         "a warm fleet survey must re-ingest nothing: {stats}"
     );
-    // Served probes skip the pipelines, not the read: every record is
-    // still framed and decoded — once.
+    // The primed snapshot marks its source quarantine-free, so served
+    // probes' records are read and framed once but never decoded.
     let corpus = std::fs::read_to_string(&trs).unwrap();
     assert_eq!(
         stats["ingest"]["records_decoded"].as_u64(),
+        Some(0),
+        "a fully served corpus decodes nothing: {stats}"
+    );
+    assert_eq!(
+        stats["ingest"]["records_skipped_served"].as_u64(),
         Some(corpus.lines().count() as u64),
-        "each record is decoded exactly once: {stats}"
+        "every record is counted as served: {stats}"
+    );
+    assert!(
+        err.contains("0 traceroutes parsed, 0 skipped, ") && err.contains(" served from cache"),
+        "{err}"
     );
     assert_eq!(
         stats["ingest"]["bytes_read"].as_u64(),
@@ -320,4 +329,278 @@ fn fleet_score_joins_truth_and_enforces_gates() {
         stdout.contains("severe"),
         "matrix must print even on gate failure"
     );
+}
+
+/// A fleet corpus with one malformed record of a probe the cache serves.
+/// Priming it with `classify --cache rw` must leave the snapshot's
+/// quarantine-free flag clear, so a warm run decodes every record and its
+/// verdicts and quarantine dump match a cold run byte for byte. A clean
+/// corpus primed the same way gets the flag and skips every record.
+/// `record` with its top-level `result` array moved to the front, the
+/// order the Atlas API writes: every other byte is kept.
+fn result_first(record: &str) -> String {
+    let at = record.find(",\"result\":").expect("top-level result");
+    let (head, tail) = (&record[1..at], &record[at + 1..record.len() - 1]);
+    format!("{{{tail},{head}}}")
+}
+
+#[test]
+fn warm_skip_does_not_depend_on_key_order() {
+    let dir = scratch("keyorder");
+    let spec = write_spec(&dir);
+    let world = dir.join("world");
+    let (_, err, ok) = run(&[
+        "fleet",
+        "gen",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--out",
+        world.to_str().unwrap(),
+        "--seed",
+        "6",
+    ]);
+    assert!(ok, "fleet gen failed: {err}");
+    let canonical = std::fs::read_to_string(world.join("traceroutes.jsonl")).unwrap();
+    let rotated: String = canonical
+        .lines()
+        .map(|line| result_first(line) + "\n")
+        .collect();
+    assert!(rotated.starts_with("{\"result\":["), "{rotated:.80}");
+    let trs = dir.join("result-first.jsonl");
+    std::fs::write(&trs, &rotated).unwrap();
+
+    let (start, end) = truth_window(&world.join("truth.json"));
+    let (start_s, end_s) = (start.to_string(), end.to_string());
+    let probes = world.join("probes.json");
+    let cache = dir.join("cache");
+    let stats = dir.join("stats.json");
+    let classify = |corpus: &Path, extra: &[&str]| {
+        let mut args = vec![
+            "classify",
+            "--traceroutes",
+            corpus.to_str().unwrap(),
+            "--probes",
+            probes.to_str().unwrap(),
+            "--start",
+            &start_s,
+            "--end",
+            &end_s,
+            "--json",
+        ];
+        args.extend(extra);
+        let (stdout, err, ok) = run(&args);
+        assert!(ok, "classify failed: {err}");
+        stdout
+    };
+    let cold = classify(&world.join("traceroutes.jsonl"), &[]);
+    assert_eq!(classify(&trs, &[]), cold, "key order changed the verdicts");
+    classify(&trs, &["--cache-dir", cache.to_str().unwrap()]);
+    let warm = classify(
+        &trs,
+        &[
+            "--cache-dir",
+            cache.to_str().unwrap(),
+            "--cache",
+            "ro",
+            "--stats-out",
+            stats.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(warm, cold, "warm verdicts differ from cold");
+    let stats: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&stats).unwrap()).unwrap();
+    assert_eq!(
+        stats["ingest"]["records_decoded"].as_u64(),
+        Some(0),
+        "{stats}"
+    );
+    assert_eq!(
+        stats["ingest"]["records_skipped_served"].as_u64(),
+        Some(canonical.lines().count() as u64),
+        "{stats}"
+    );
+}
+
+#[test]
+fn warm_skip_never_hides_a_quarantined_record() {
+    let dir = scratch("quarantine");
+    let spec = write_spec(&dir);
+    let world = dir.join("world");
+    let (_, err, ok) = run(&[
+        "fleet",
+        "gen",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--out",
+        world.to_str().unwrap(),
+        "--seed",
+        "3",
+    ]);
+    assert!(ok, "fleet gen failed: {err}");
+    let (start, end) = truth_window(&world.join("truth.json"));
+    let clean = std::fs::read_to_string(world.join("traceroutes.jsonl")).unwrap();
+    let records = clean.lines().count() as u64;
+    // The first record cut after its `prb_id`: the peek still finds the
+    // (served) probe, the decoder quarantines it.
+    let first = clean.lines().next().unwrap();
+    let cut = first.find("\"timestamp\"").unwrap();
+    let corrupt = dir.join("corrupt.jsonl");
+    std::fs::write(&corrupt, format!("{clean}{}\n", &first[..cut])).unwrap();
+
+    let probes = world.join("probes.json");
+    let (start_s, end_s) = (start.to_string(), end.to_string());
+    let classify = |corpus: &Path, tag: &str, extra: &[&str]| {
+        let quarantine = dir.join(format!("{tag}.quarantine.jsonl"));
+        let stats = dir.join(format!("{tag}.stats.json"));
+        let mut args = vec![
+            "classify",
+            "--traceroutes",
+            corpus.to_str().unwrap(),
+            "--probes",
+            probes.to_str().unwrap(),
+            "--start",
+            &start_s,
+            "--end",
+            &end_s,
+            "--json",
+            "--quarantine",
+            quarantine.to_str().unwrap(),
+            "--stats-out",
+            stats.to_str().unwrap(),
+        ];
+        args.extend(extra);
+        let (stdout, err, ok) = run(&args);
+        assert!(ok, "classify {tag} failed: {err}");
+        let stats: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&stats).unwrap()).unwrap();
+        (stdout, std::fs::read(&quarantine).unwrap(), stats)
+    };
+    let flags_word = |cache: &Path| {
+        let bytes = std::fs::read(cache.join("series.lmss")).unwrap();
+        u32::from_le_bytes(bytes[28..32].try_into().unwrap())
+    };
+
+    let cache = dir.join("cache-corrupt");
+    let cache_s = cache.to_str().unwrap();
+    let (cold, cold_q, cold_stats) = classify(&corrupt, "cold", &[]);
+    assert_eq!(
+        cold_stats["ingest"]["quarantined"]["json"].as_u64(),
+        Some(1)
+    );
+    let (primed, _, primed_stats) = classify(&corrupt, "prime", &["--cache-dir", cache_s]);
+    assert_eq!(primed, cold);
+    assert_eq!(
+        flags_word(&cache),
+        0,
+        "a quarantining source must not be flagged"
+    );
+    let (warm, warm_q, stats) =
+        classify(&corrupt, "warm", &["--cache-dir", cache_s, "--cache", "ro"]);
+    assert_eq!(warm, cold, "warm verdicts differ from cold");
+    assert_eq!(warm_q, cold_q, "warm quarantine dump differs from cold");
+    assert!(!cold_q.is_empty());
+    // Every probe the priming run built is served, yet nothing is skipped.
+    assert_eq!(stats["store"]["hits"], primed_stats["store"]["misses"]);
+    assert!(stats["store"]["hits"].as_u64().unwrap() > 0, "{stats}");
+    assert_eq!(stats["ingest"]["records_decoded"].as_u64(), Some(records));
+    assert_eq!(stats["ingest"]["records_skipped_served"].as_u64(), Some(0));
+
+    // The clean corpus: `--cache rw` flags it, and a warm run skips all.
+    let clean_path = world.join("traceroutes.jsonl");
+    let cache = dir.join("cache-clean");
+    let cache_s = cache.to_str().unwrap();
+    let (clean_cold, _, _) = classify(&clean_path, "clean-cold", &[]);
+    classify(&clean_path, "clean-prime", &["--cache-dir", cache_s]);
+    assert_eq!(flags_word(&cache), 1, "a clean source must be flagged");
+    let (warm, warm_q, stats) = classify(
+        &clean_path,
+        "clean-warm",
+        &["--cache-dir", cache_s, "--cache", "ro"],
+    );
+    assert_eq!(warm, clean_cold);
+    assert!(warm_q.is_empty());
+    assert_eq!(stats["ingest"]["records_decoded"].as_u64(), Some(0));
+    assert_eq!(
+        stats["ingest"]["records_skipped_served"].as_u64(),
+        Some(records)
+    );
+}
+
+/// A version-1 snapshot (no flags word) is reported and ignored: the run
+/// recomputes cold, byte-identical, decoding every record.
+#[test]
+fn version_one_snapshot_degrades_to_a_cold_recompute() {
+    let dir = scratch("v1");
+    let spec = write_spec(&dir);
+    let world = dir.join("world");
+    let cache = dir.join("cache");
+    let (_, err, ok) = run(&[
+        "fleet",
+        "gen",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--out",
+        world.to_str().unwrap(),
+        "--seed",
+        "4",
+        "--cache-dir",
+        cache.to_str().unwrap(),
+    ]);
+    assert!(ok, "fleet gen failed: {err}");
+    // Rewrite the primed v2 snapshot in the v1 layout: version 1, no
+    // flags word, the checksum over the payload alone.
+    let snapshot = cache.join("series.lmss");
+    let v2 = std::fs::read(&snapshot).unwrap();
+    let payload = &v2[32..];
+    let mut v1 = Vec::new();
+    v1.extend_from_slice(&v2[..4]);
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&v2[8..24]);
+    v1.extend_from_slice(&lastmile_repro::store::snapshot::crc32(payload).to_le_bytes());
+    v1.extend_from_slice(payload);
+    std::fs::write(&snapshot, &v1).unwrap();
+
+    let (start, end) = truth_window(&world.join("truth.json"));
+    let trs = world.join("traceroutes.jsonl");
+    let stats = dir.join("stats.json");
+    let probes = world.join("probes.json");
+    let (start_s, end_s) = (start.to_string(), end.to_string());
+    let classify = |extra: &[&str]| {
+        let mut args = vec![
+            "classify",
+            "--traceroutes",
+            trs.to_str().unwrap(),
+            "--probes",
+            probes.to_str().unwrap(),
+            "--json",
+            "--start",
+            &start_s,
+            "--end",
+            &end_s,
+        ];
+        args.extend(extra);
+        run(&args)
+    };
+    let (cold, err, ok) = classify(&[]);
+    assert!(ok, "cold classify failed: {err}");
+    let (warm, err, ok) = classify(&[
+        "--cache-dir",
+        cache.to_str().unwrap(),
+        "--cache",
+        "ro",
+        "--stats-out",
+        stats.to_str().unwrap(),
+    ]);
+    assert!(ok, "warm classify failed: {err}");
+    assert!(
+        err.contains("[cache] ignoring") && err.contains("unsupported snapshot version 1"),
+        "{err}"
+    );
+    assert_eq!(warm, cold);
+    let stats: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&stats).unwrap()).unwrap();
+    let records = std::fs::read_to_string(&trs).unwrap().lines().count() as u64;
+    assert_eq!(stats["store"]["hits"].as_u64(), Some(0), "{stats}");
+    assert_eq!(stats["ingest"]["records_decoded"].as_u64(), Some(records));
+    assert_eq!(stats["ingest"]["records_skipped_served"].as_u64(), Some(0));
 }

@@ -153,6 +153,21 @@ fn trace_stats_and_csv_artifacts() {
         "--stats top-level schema changed"
     );
     assert_eq!(
+        keys(&stats["ingest"]),
+        vec![
+            "bytes_read",
+            "records_decoded",
+            "records_skipped_served",
+            "records_per_sec",
+            "quarantined",
+            "frame_nanos",
+            "decode_nanos",
+            "wall_nanos",
+            "queue_max_depth",
+        ],
+        "--stats ingest schema changed"
+    );
+    assert_eq!(
         keys(&stats["latency"]),
         vec!["decode", "series", "analyze", "bucket_count"]
     );

@@ -47,15 +47,24 @@
 //!   and quarantine dumps equal a serde-only decode. Both paths stop at
 //!   128 levels of nesting: a deeply nested record is a `json`
 //!   quarantine, not a stack overflow.
+//! * **Served records**: a caller that already holds some probes' results
+//!   (a warm series cache) names them in [`IngestOptions::skip_probes`].
+//!   A valid UTF-8 record whose `prb_id`
+//!   ([`lastmile_atlas::json::peek_probe`]) is in that set is counted and
+//!   reported by probe id, not decoded. The caller must only pass a set
+//!   when no such record could have been quarantined (see the CLI's
+//!   snapshot flag), because a skipped record is never checked beyond
+//!   its UTF-8 and the bytes up to its probe id.
 //!
 //! `on_record` runs on the caller's thread, so consumers need no
 //! locking; [`ingest_file`] returns an [`IngestSummary`] with counts,
 //! quarantined records (sorted by byte offset), and per-stage timers.
 
 use lastmile_atlas::framing::{DocSplitter, Frame};
-use lastmile_atlas::json::{decode_traceroute, AtlasTraceroute};
-use lastmile_atlas::TracerouteResult;
+use lastmile_atlas::json::{decode_traceroute, peek_probe, AtlasTraceroute};
+use lastmile_atlas::{ProbeId, TracerouteResult};
 use lastmile_obs::{trace, Histogram, LiveProgress};
+use std::collections::BTreeSet;
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,6 +118,11 @@ pub struct Quarantined {
 pub struct IngestSummary {
     /// Records decoded and delivered to `on_record`.
     pub parsed: u64,
+    /// Records of [`IngestOptions::skip_probes`] probes, counted but not
+    /// decoded or delivered.
+    pub records_skipped_served: u64,
+    /// The probes those skipped records belong to.
+    pub skipped_probes: BTreeSet<ProbeId>,
     /// Bytes read from the input.
     pub bytes_read: u64,
     /// Malformed records, sorted by byte offset.
@@ -172,6 +186,10 @@ pub struct IngestOptions {
     /// decoded, and batch-queue depth are updated *while the ingest
     /// runs* (the summary only lands when it returns).
     pub progress: Option<Arc<LiveProgress>>,
+    /// Probes whose results the caller already has: their records are
+    /// counted in [`IngestSummary::records_skipped_served`], not decoded.
+    /// Only safe when none of those records would be quarantined.
+    pub skip_probes: Option<Arc<BTreeSet<ProbeId>>>,
     /// Test hook: panic while decoding the record at this byte offset,
     /// exercising per-record panic isolation from integration tests.
     #[doc(hidden)]
@@ -188,6 +206,7 @@ impl Default for IngestOptions {
             chunk_bytes: 256 * 1024,
             record_latency: false,
             progress: None,
+            skip_probes: None,
             inject_panic_offset: None,
         }
     }
@@ -228,7 +247,16 @@ type Batch = Vec<(u64, RecordBytes)>;
 /// One decoded batch travelling back to the caller.
 enum Delivery {
     Records(Vec<TracerouteResult>),
+    /// Probe ids of skipped records, one per record.
+    Served(Vec<ProbeId>),
     Quarantined(Quarantined),
+}
+
+/// A framed record that did not need quarantine.
+enum Decoded {
+    Record(TracerouteResult),
+    /// A record of a [`IngestOptions::skip_probes`] probe, left undecoded.
+    Served(ProbeId),
 }
 
 /// Ingest a traceroute file (JSON Lines or a top-level JSON array),
@@ -276,7 +304,9 @@ pub fn ingest_slice(
     let mut quarantined: Vec<Quarantined> = Vec::new();
     let mut handle = |frame: Frame<'_>| match frame {
         Frame::Doc { offset, bytes } => match decode_record(offset, bytes, &options) {
-            Ok(tr) => on_record(offset, bytes, tr),
+            Ok(Decoded::Record(tr)) => on_record(offset, bytes, tr),
+            // The default options skip no probe.
+            Ok(Decoded::Served(_)) => {}
             Err(q) => quarantined.push(q),
         },
         Frame::Junk {
@@ -332,12 +362,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Decode one framed record — the direct decoder, or the serde path when
-/// it declines; quarantines never escape as panics.
+/// it declines; quarantines never escape as panics. A record whose probe
+/// is in [`IngestOptions::skip_probes`] is only peeked.
 fn decode_record(
     offset: u64,
     bytes: &[u8],
     options: &IngestOptions,
-) -> Result<TracerouteResult, Quarantined> {
+) -> Result<Decoded, Quarantined> {
     let quarantine = |kind: QuarantineKind, detail: String| Quarantined {
         offset,
         kind,
@@ -350,14 +381,20 @@ fn decode_record(
         }
         let text = std::str::from_utf8(bytes)
             .map_err(|e| quarantine(QuarantineKind::Json, e.to_string()))?;
+        if let Some(skip) = &options.skip_probes {
+            if let Some(probe) = peek_probe(text).filter(|p| skip.contains(p)) {
+                return Ok(Decoded::Served(probe));
+            }
+        }
         if let Some(tr) = decode_traceroute(text) {
-            return Ok(tr);
+            return Ok(Decoded::Record(tr));
         }
         // The direct decoder declined: the serde path decides, and alone
         // names the quarantine kind and detail.
         let doc: AtlasTraceroute = serde_json::from_str(text)
             .map_err(|e| quarantine(QuarantineKind::Json, e.to_string()))?;
         doc.to_model()
+            .map(Decoded::Record)
             .map_err(|e| quarantine(QuarantineKind::Model, e.to_string()))
     }));
     match outcome {
@@ -367,6 +404,26 @@ fn decode_record(
             panic_message(payload.as_ref()),
         )),
     }
+}
+
+/// [`decode_record`], sampling its latency into `hist` when
+/// [`IngestOptions::record_latency`] is set. A skipped record is not a
+/// decode and adds no sample.
+fn decode_timed(
+    offset: u64,
+    bytes: &[u8],
+    options: &IngestOptions,
+    hist: &mut Histogram,
+) -> Result<Decoded, Quarantined> {
+    if !options.record_latency {
+        return decode_record(offset, bytes, options);
+    }
+    let t = Instant::now();
+    let outcome = decode_record(offset, bytes, options);
+    if !matches!(outcome, Ok(Decoded::Served(_))) {
+        hist.record(elapsed_nanos(t));
+    }
+    outcome
 }
 
 /// The retained single-threaded reference path: same framing and
@@ -383,7 +440,7 @@ fn ingest_reader_serial(
     let mut buf = vec![0u8; options.chunk_bytes.max(1)];
     // The emit closure cannot call `on_record` directly (it borrows the
     // splitter), so each chunk's frames are staged and drained after.
-    let mut staged: Vec<Result<TracerouteResult, Quarantined>> = Vec::new();
+    let mut staged: Vec<Result<Decoded, Quarantined>> = Vec::new();
     loop {
         let n = reader.read(&mut buf).map_err(|e| format!("read: {e}"))?;
         let chunk = &buf[..n];
@@ -394,14 +451,7 @@ fn ingest_reader_serial(
         let t = Instant::now();
         let mut handle = |frame: Frame<'_>| match frame {
             Frame::Doc { offset, bytes } => {
-                if options.record_latency {
-                    let t_rec = Instant::now();
-                    let outcome = decode_record(offset, bytes, options);
-                    decode_hist.record(elapsed_nanos(t_rec));
-                    staged.push(outcome);
-                } else {
-                    staged.push(decode_record(offset, bytes, options));
-                }
+                staged.push(decode_timed(offset, bytes, options, &mut decode_hist));
             }
             Frame::Junk {
                 offset,
@@ -423,12 +473,16 @@ fn ingest_reader_serial(
         summary.frame_nanos += elapsed_nanos(t);
         for outcome in staged.drain(..) {
             match outcome {
-                Ok(tr) => {
+                Ok(Decoded::Record(tr)) => {
                     summary.parsed += 1;
                     if let Some(p) = &options.progress {
                         p.records.fetch_add(1, Ordering::Relaxed);
                     }
                     on_record(tr);
+                }
+                Ok(Decoded::Served(probe)) => {
+                    summary.records_skipped_served += 1;
+                    summary.skipped_probes.insert(probe);
                 }
                 Err(q) => summary.quarantined.push(q),
             }
@@ -621,24 +675,22 @@ fn ingest_reader_parallel(
                         });
                         let t = Instant::now();
                         let mut records = Vec::with_capacity(batch.len());
+                        let mut served = Vec::new();
                         let mut quarantined = Vec::new();
                         for (offset, bytes) in &batch {
-                            let outcome = if options.record_latency {
-                                let t_rec = Instant::now();
-                                let outcome = decode_record(*offset, bytes.as_slice(), options);
-                                local_hist.record(elapsed_nanos(t_rec));
-                                outcome
-                            } else {
-                                decode_record(*offset, bytes.as_slice(), options)
-                            };
-                            match outcome {
-                                Ok(tr) => records.push(tr),
+                            match decode_timed(*offset, bytes.as_slice(), options, &mut local_hist)
+                            {
+                                Ok(Decoded::Record(tr)) => records.push(tr),
+                                Ok(Decoded::Served(probe)) => served.push(probe),
                                 Err(q) => quarantined.push(q),
                             }
                         }
                         decode_nanos.fetch_add(elapsed_nanos(t), Ordering::Relaxed);
                         drop(span);
                         if !records.is_empty() && out_tx.send(Delivery::Records(records)).is_err() {
+                            return;
+                        }
+                        if !served.is_empty() && out_tx.send(Delivery::Served(served)).is_err() {
                             return;
                         }
                         for q in quarantined {
@@ -664,6 +716,10 @@ fn ingest_reader_parallel(
                     for tr in records {
                         on_record(tr);
                     }
+                }
+                Delivery::Served(probes) => {
+                    summary.records_skipped_served += probes.len() as u64;
+                    summary.skipped_probes.extend(probes);
                 }
                 Delivery::Quarantined(q) => summary.quarantined.push(q),
             }
@@ -928,6 +984,86 @@ mod tests {
                 assert_eq!(serial.1.skipped(), parallel.1.skipped());
             }
         }
+    }
+
+    #[test]
+    fn skip_probes_drops_exactly_the_served_records_on_both_paths() {
+        // Probes 0..6, five records each; probes 2 and 4 are served.
+        let mut text = String::new();
+        for ts in 0..5 {
+            for probe in 0..6 {
+                text.push_str(&tr_json(probe, 1000 + ts));
+                text.push('\n');
+            }
+        }
+        // A served probe's record the peek declines (an escaped key) is
+        // decoded as usual.
+        text.push_str(&tr_json(2, 9000).replace("\"prb_id\"", "\"prb\\u005fid\""));
+        text.push('\n');
+        // A served probe's record with invalid UTF-8 after its `prb_id`
+        // is quarantined as ever.
+        let mut bad_utf8 = tr_json(2, 9003).into_bytes();
+        let last = bad_utf8.len() - 2;
+        bad_utf8[last] = 0xFF;
+        // Quarantine from junk and from a probe that is not served.
+        text.push_str("not-json\n");
+        text.push_str(&tr_json(5, 9001).replace("traceroute", "ping"));
+        text.push('\n');
+        let dir = std::env::temp_dir().join("lastmile-ingest-skip-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("corpus-{}.jsonl", std::process::id()));
+        let mut bytes = text.into_bytes();
+        bytes.extend_from_slice(&bad_utf8);
+        bytes.push(b'\n');
+        std::fs::write(&path, &bytes).unwrap();
+        let path = path.to_str().unwrap();
+        let skip: BTreeSet<ProbeId> = [ProbeId(2), ProbeId(4)].into_iter().collect();
+        let run = |options: &IngestOptions| {
+            let mut seen: BTreeMap<(u32, i64), u64> = BTreeMap::new();
+            let summary = ingest_file(path, options, |tr| {
+                *seen
+                    .entry((tr.probe.0, tr.timestamp.as_secs()))
+                    .or_default() += 1;
+            })
+            .unwrap();
+            (seen, summary)
+        };
+        let triage = |s: &IngestSummary| -> Vec<(u64, &str, String, Vec<u8>)> {
+            s.quarantined
+                .iter()
+                .map(|q| (q.offset, q.kind.name(), q.detail.clone(), q.record.clone()))
+                .collect()
+        };
+        for serial in [true, false] {
+            let full_options = IngestOptions {
+                serial,
+                threads: 2,
+                chunk_bytes: 97, // documents across chunk boundaries
+                record_latency: true,
+                ..IngestOptions::default()
+            };
+            let skip_options = IngestOptions {
+                skip_probes: Some(Arc::new(skip.clone())),
+                ..full_options.clone()
+            };
+            let (all, full) = run(&full_options);
+            let (kept, skipped) = run(&skip_options);
+            let mut expected = all.clone();
+            expected.retain(|&(probe, ts), _| !(skip.contains(&ProbeId(probe)) && ts < 9000));
+            assert_eq!(kept, expected, "serial={serial}");
+            assert!(kept.contains_key(&(2, 9000)));
+            assert_eq!(full.records_skipped_served, 0);
+            assert!(full.skipped_probes.is_empty());
+            assert_eq!(skipped.records_skipped_served, 10);
+            assert_eq!(skipped.skipped_probes, skip);
+            assert_eq!(skipped.parsed + 10, full.parsed);
+            assert_eq!(skipped.bytes_read, full.bytes_read);
+            assert_eq!(triage(&skipped), triage(&full));
+            assert_eq!(full.skipped(), 3);
+            // A skipped record is not a decode: no latency sample.
+            assert_eq!(skipped.decode_hist.count() + 10, full.decode_hist.count());
+        }
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

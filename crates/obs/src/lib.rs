@@ -94,6 +94,7 @@ pub struct RunMetrics {
     store_load_nanos: AtomicU64,
     ingest_bytes_read: AtomicU64,
     ingest_records_decoded: AtomicU64,
+    ingest_records_skipped_served: AtomicU64,
     ingest_quarantined_framing: AtomicU64,
     ingest_quarantined_json: AtomicU64,
     ingest_quarantined_model: AtomicU64,
@@ -184,6 +185,10 @@ impl RunMetrics {
         Self::add(&self.ingest_bytes_read, traffic.bytes_read);
         Self::add(&self.ingest_records_decoded, traffic.records_decoded);
         Self::add(
+            &self.ingest_records_skipped_served,
+            traffic.records_skipped_served,
+        );
+        Self::add(
             &self.ingest_quarantined_framing,
             traffic.quarantined_framing,
         );
@@ -273,6 +278,7 @@ impl RunMetrics {
                 IngestStats {
                     bytes_read: get(&self.ingest_bytes_read),
                     records_decoded: records,
+                    records_skipped_served: get(&self.ingest_records_skipped_served),
                     records_per_sec: if wall > 0 {
                         records as f64 / (wall as f64 / 1e9)
                     } else {
@@ -326,6 +332,9 @@ pub struct StoreTraffic {
 pub struct IngestTraffic {
     pub bytes_read: u64,
     pub records_decoded: u64,
+    /// Records read but not decoded: their probe's series was served
+    /// from the cache.
+    pub records_skipped_served: u64,
     pub quarantined_framing: u64,
     pub quarantined_json: u64,
     pub quarantined_model: u64,
@@ -361,6 +370,7 @@ pub struct QuarantineStats {
 pub struct IngestStats {
     pub bytes_read: u64,
     pub records_decoded: u64,
+    pub records_skipped_served: u64,
     pub records_per_sec: f64,
     pub quarantined: QuarantineStats,
     pub frame_nanos: u64,
@@ -927,6 +937,7 @@ mod tests {
         m.add_ingest_traffic(&IngestTraffic {
             bytes_read: 1000,
             records_decoded: 50,
+            records_skipped_served: 7,
             quarantined_framing: 1,
             quarantined_json: 2,
             quarantined_model: 3,
@@ -992,6 +1003,7 @@ mod tests {
             IngestStats {
                 bytes_read: 1000,
                 records_decoded: 100,
+                records_skipped_served: 7,
                 records_per_sec: 100.0, // 100 records over 1 s of ingest wall
                 quarantined: QuarantineStats {
                     framing: 1,
@@ -1075,6 +1087,7 @@ mod tests {
             "ingest",
             "bytes_read",
             "records_decoded",
+            "records_skipped_served",
             "records_per_sec",
             "quarantined",
             "framing",

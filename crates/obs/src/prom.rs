@@ -228,6 +228,11 @@ pub fn render(
         "Traceroute records decoded from disk.",
         run.ingest.records_decoded,
     );
+    e.counter(
+        "lastmile_run_ingest_records_skipped_served_total",
+        "Traceroute records read but not decoded: their probe was served from the series cache.",
+        run.ingest.records_skipped_served,
+    );
     e.counter_by(
         "lastmile_run_ingest_quarantined_total",
         "Quarantined ingest records by error kind.",

@@ -50,6 +50,9 @@
 //! [`SeriesStore::load_snapshot`] restores it, returning typed errors
 //! (bad magic, version or fingerprint mismatch, truncation, checksum
 //! failure) that callers degrade to an empty store + recomputation.
+//! The snapshot also carries one property of its data source, which the
+//! store holds as state: whether every record of the source decodes with
+//! zero quarantine ([`SeriesStore::source_quarantine_free`]).
 
 mod coverage;
 pub mod snapshot;
@@ -61,8 +64,9 @@ use lastmile_core::series::{BuiltSeries, ProbeSeries};
 use lastmile_timebase::{BinIndex, BinSpec, TimeRange};
 pub use snapshot::SnapshotError;
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::RwLock;
 
 /// Identity of one memoized series: the probe plus every binning
@@ -162,6 +166,18 @@ struct Entry {
     covered: Coverage,
 }
 
+/// The entry for `key` if it has computed every bin of `span`: the hit
+/// test [`SeriesStore::covers`] and [`SeriesStore::lookup`] share.
+fn covering<'s>(
+    shard: &'s HashMap<StoreKey, Entry>,
+    key: &StoreKey,
+    span: &Range<BinIndex>,
+) -> Option<&'s Entry> {
+    shard
+        .get(key)
+        .filter(|entry| entry.covered.contains_span(span))
+}
+
 /// Outcome of [`SeriesStore::lookup`].
 #[derive(Debug)]
 pub enum Lookup {
@@ -204,6 +220,9 @@ pub struct SeriesStore {
     bypasses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
+    /// Whether the fingerprinted source decodes with zero quarantine;
+    /// loaded from and saved to the snapshot's flags word.
+    source_quarantine_free: AtomicBool,
 }
 
 impl std::fmt::Debug for SeriesStore {
@@ -234,7 +253,24 @@ impl SeriesStore {
             bypasses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            source_quarantine_free: AtomicBool::new(false),
         }
+    }
+
+    /// Whether the store's data source is known to decode with zero
+    /// quarantine (false unless a loaded snapshot said so or a caller set
+    /// it). Only then may a reader skip decoding the records of probes it
+    /// serves: over exactly the fingerprinted bytes, no skipped record
+    /// could have been quarantined.
+    pub fn source_quarantine_free(&self) -> bool {
+        self.source_quarantine_free.load(Ordering::Relaxed)
+    }
+
+    /// Record whether the data source decodes with zero quarantine; the
+    /// next [`SeriesStore::save_snapshot`] writes it. Set it only for a
+    /// source the fingerprint names exactly.
+    pub fn set_source_quarantine_free(&self, free: bool) {
+        self.source_quarantine_free.store(free, Ordering::Relaxed);
     }
 
     /// The configuration the store was built with.
@@ -311,31 +347,59 @@ impl SeriesStore {
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
+    /// Every resident key, sorted.
+    pub fn keys(&self) -> Vec<StoreKey> {
+        let mut keys: Vec<StoreKey> = self
+            .shards
+            .iter()
+            .flat_map(|s| {
+                let shard = s.read().expect("store shard poisoned");
+                shard.keys().copied().collect::<Vec<_>>()
+            })
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    /// Whether [`SeriesStore::lookup`] would hit for `key` over `range`
+    /// right now, without counting a lookup.
+    pub fn covers(&self, key: &StoreKey, range: &TimeRange) -> bool {
+        self.servable_span(key, range).is_some_and(|span| {
+            let shard = self.shard(key).read().expect("store shard poisoned");
+            covering(&shard, key, &span).is_some()
+        })
+    }
+
     /// Fetch the series for `range` if the store has computed it (or a
     /// superset of it) before.
     pub fn lookup(&self, key: &StoreKey, range: &TimeRange) -> Lookup {
-        let bin = key.bin();
-        if self.config.mode == CacheMode::Off || !bin.is_aligned(range) {
+        let Some(span) = self.servable_span(key, range) else {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
             return Lookup::Bypass;
-        }
-        let span = bin.index_span(range);
+        };
         let shard = self.shard(key).read().expect("store shard poisoned");
-        match shard.get(key) {
-            Some(entry) if entry.covered.contains_span(&span) => {
+        match covering(&shard, key, &span) {
+            Some(entry) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                let discarded = entry.discarded.range(span.clone()).count() as u64;
+                let discarded = entry.discarded.range(span).count() as u64;
                 Lookup::Hit(PrebuiltSeries {
                     series: entry.series.slice(range),
                     bins_discarded_sanity: discarded,
                     traceroutes_ingested: 0,
                 })
             }
-            _ => {
+            None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 Lookup::Miss
             }
         }
+    }
+
+    /// The bins of `range` under `key`'s binning, when the store answers
+    /// for `range` at all: caching is on and `range` is bin-aligned.
+    fn servable_span(&self, key: &StoreKey, range: &TimeRange) -> Option<Range<BinIndex>> {
+        let bin = key.bin();
+        (self.config.mode != CacheMode::Off && bin.is_aligned(range)).then(|| bin.index_span(range))
     }
 
     /// Count a lookup made before the request's window is known — a
@@ -417,9 +481,10 @@ impl SeriesStore {
     }
 
     /// Write the whole store to `path` as a versioned snapshot, atomically
-    /// (temp file in the same directory, then rename). Returns the bytes
-    /// written. Entry order in the file is sorted by key, so the same
-    /// store state always produces the same bytes.
+    /// (temp file in the same directory, then rename), with
+    /// [`SeriesStore::source_quarantine_free`] in its flags word. Returns
+    /// the bytes written. Entry order in the file is sorted by key, so the
+    /// same store state always produces the same bytes.
     pub fn save_snapshot(
         &self,
         path: &Path,
@@ -439,7 +504,12 @@ impl SeriesStore {
             }
         }
         entries.sort_by_key(|e| e.key);
-        snapshot::write_snapshot(path, source_fingerprint, &entries)
+        let flags = if self.source_quarantine_free() {
+            snapshot::FLAG_SOURCE_QUARANTINE_FREE
+        } else {
+            0
+        };
+        snapshot::write_snapshot(path, source_fingerprint, flags, &entries)
     }
 
     /// Load a snapshot written by [`SeriesStore::save_snapshot`].
@@ -447,15 +517,17 @@ impl SeriesStore {
     /// `source_fingerprint` must match the one the snapshot was saved
     /// with — it identifies the data source (world seed, traceroute
     /// file), and serving series from a different source would be silent
-    /// corruption. Returns the store and the bytes read.
+    /// corruption. Returns the store and the bytes read; the store's
+    /// [`SeriesStore::source_quarantine_free`] comes from the snapshot.
     pub fn load_snapshot(
         path: &Path,
         source_fingerprint: u64,
         config: StoreConfig,
     ) -> Result<(SeriesStore, u64), SnapshotError> {
-        let (entries, bytes) = snapshot::read_snapshot(path, source_fingerprint)?;
+        let loaded = snapshot::read_snapshot(path, source_fingerprint)?;
         let store = SeriesStore::new(config);
-        for e in entries {
+        store.set_source_quarantine_free(loaded.flags & snapshot::FLAG_SOURCE_QUARANTINE_FREE != 0);
+        for e in loaded.entries {
             let bin = BinSpec::new(e.key.bin_width_secs);
             let medians = e
                 .bins
@@ -475,7 +547,7 @@ impl SeriesStore {
                 .expect("store shard poisoned")
                 .insert(e.key, entry);
         }
-        Ok((store, bytes))
+        Ok((store, loaded.bytes))
     }
 
     /// Like [`SeriesStore::load_snapshot`], degrading every failure —
@@ -602,6 +674,43 @@ mod tests {
         assert!(!outcome.inserted);
         assert_eq!(store.len(), 0);
         assert_eq!(store.counters().bypasses, 1);
+    }
+
+    #[test]
+    fn covers_answers_like_lookup_without_counting() {
+        let store = SeriesStore::default();
+        store.insert(&key(1), &aligned(0, 8), &built(1, &[(0, 5.0)], &[]));
+        let unaligned = TimeRange::new(UnixTime::from_secs(100), UnixTime::from_secs(7200));
+        assert!(store.covers(&key(1), &aligned(0, 8)));
+        assert!(store.covers(&key(1), &aligned(2, 4)));
+        assert!(!store.covers(&key(1), &aligned(0, 9)));
+        assert!(!store.covers(&key(2), &aligned(0, 8)));
+        assert!(!store.covers(&key(1), &unaligned));
+        let c = store.counters();
+        assert_eq!(c.hits + c.misses + c.bypasses, 0);
+        assert_eq!(store.keys(), vec![key(1)]);
+        let off = SeriesStore::new(StoreConfig {
+            mode: CacheMode::Off,
+            ..StoreConfig::default()
+        });
+        assert!(!off.covers(&key(1), &aligned(0, 8)));
+    }
+
+    #[test]
+    fn source_quarantine_free_round_trips_through_a_snapshot() {
+        let dir = std::env::temp_dir().join("lastmile-store-flag-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("snap-{}.bin", std::process::id()));
+        let store = SeriesStore::default();
+        store.insert(&key(1), &aligned(0, 4), &built(1, &[(0, 5.0)], &[]));
+        assert!(!store.source_quarantine_free());
+        for free in [true, false] {
+            store.set_source_quarantine_free(free);
+            store.save_snapshot(&path, 7).unwrap();
+            let (loaded, _) = SeriesStore::load_snapshot(&path, 7, StoreConfig::default()).unwrap();
+            assert_eq!(loaded.source_quarantine_free(), free);
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -4,12 +4,22 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"LMSS"
-//!      4     4  format version, u32 LE (currently 1)
+//!      4     4  format version, u32 LE (currently 2)
 //!      8     8  source fingerprint, u64 LE (caller-chosen data-source id)
 //!     16     8  payload length, u64 LE
-//!     24     4  payload CRC-32 (IEEE), u32 LE
-//!     28     -  payload
+//!     24     4  CRC-32 (IEEE) of the flags word and the payload, u32 LE
+//!     28     4  flags, u32 LE
+//!     32     -  payload
 //! ```
+//!
+//! The flags word records properties of the data source, not of the
+//! payload. One bit is defined, [`FLAG_SOURCE_QUARANTINE_FREE`]: every
+//! record of the fingerprinted source decodes, none is quarantined. A
+//! reader may then skip decoding records whose series it serves from the
+//! snapshot without changing what a full decode would quarantine. Any
+//! other bit set is [`SnapshotError::Corrupt`]. Version 1 files (no flags
+//! word, a 28-byte header) are refused as
+//! [`SnapshotError::UnsupportedVersion`].
 //!
 //! The payload is a u64 entry count followed by one record per entry,
 //! sorted by [`StoreKey`] so identical store states produce identical
@@ -41,9 +51,15 @@ use std::path::Path;
 /// File magic: "Last-Mile Series Snapshot".
 pub const MAGIC: [u8; 4] = *b"LMSS";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Bytes before the payload.
-pub const HEADER_LEN: usize = 28;
+pub const HEADER_LEN: usize = 32;
+/// Offset of the flags word, where the checksummed bytes start.
+const FLAGS_OFFSET: usize = 28;
+/// Flag bit: the fingerprinted source decodes with zero quarantine.
+pub const FLAG_SOURCE_QUARANTINE_FREE: u32 = 1;
+/// Every flag bit this build defines.
+const KNOWN_FLAGS: u32 = FLAG_SOURCE_QUARANTINE_FREE;
 
 /// One store entry in codec form.
 #[derive(Clone, Debug, PartialEq)]
@@ -289,11 +305,12 @@ fn decode_payload(payload: &[u8]) -> Result<Vec<SnapshotEntry>, SnapshotError> {
     Ok(entries)
 }
 
-/// Serialize `entries` to `path` atomically. Returns total bytes written
-/// (header + payload).
+/// Serialize `entries` and the source `flags` to `path` atomically.
+/// Returns total bytes written (header + payload).
 pub fn write_snapshot(
     path: &Path,
     source_fingerprint: u64,
+    flags: u32,
     entries: &[SnapshotEntry],
 ) -> Result<u64, SnapshotError> {
     let payload = encode_payload(entries);
@@ -302,8 +319,11 @@ pub fn write_snapshot(
     file_bytes.extend_from_slice(&VERSION.to_le_bytes());
     file_bytes.extend_from_slice(&source_fingerprint.to_le_bytes());
     file_bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file_bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    file_bytes.extend_from_slice(&[0; 4]); // CRC, filled in below
+    file_bytes.extend_from_slice(&flags.to_le_bytes());
     file_bytes.extend_from_slice(&payload);
+    let crc = crc32(&file_bytes[FLAGS_OFFSET..]);
+    file_bytes[24..28].copy_from_slice(&crc.to_le_bytes());
 
     // Atomic publish: same-directory temp file, flush, durable rename.
     // The temp name is unique per writer (pid + per-process sequence):
@@ -329,11 +349,20 @@ pub fn write_snapshot(
     result.map(|()| file_bytes.len() as u64)
 }
 
-/// Read and validate a snapshot. Returns the entries and the bytes read.
+/// A snapshot as read back: its entries, source flags and size.
+#[derive(Debug)]
+pub struct LoadedSnapshot {
+    pub entries: Vec<SnapshotEntry>,
+    pub flags: u32,
+    /// Total bytes read (header + payload).
+    pub bytes: u64,
+}
+
+/// Read and validate a snapshot.
 pub fn read_snapshot(
     path: &Path,
     expected_fingerprint: u64,
-) -> Result<(Vec<SnapshotEntry>, u64), SnapshotError> {
+) -> Result<LoadedSnapshot, SnapshotError> {
     let bytes = std::fs::read(path)?;
     if bytes.len() < HEADER_LEN {
         if bytes.len() < 4 || bytes[..4] != MAGIC {
@@ -370,16 +399,24 @@ pub fn read_snapshot(
             available: bytes.len() as u64,
         });
     }
-    let payload = &bytes[HEADER_LEN..];
-    let computed = crc32(payload);
+    let computed = crc32(&bytes[FLAGS_OFFSET..]);
     if computed != stored_crc {
         return Err(SnapshotError::ChecksumMismatch {
             stored: stored_crc,
             computed,
         });
     }
-    let entries = decode_payload(payload)?;
-    Ok((entries, bytes.len() as u64))
+    let flags = u32::from_le_bytes(bytes[FLAGS_OFFSET..HEADER_LEN].try_into().unwrap());
+    if flags & !KNOWN_FLAGS != 0 {
+        return Err(SnapshotError::Corrupt(format!(
+            "unknown source flags {flags:#010x}"
+        )));
+    }
+    Ok(LoadedSnapshot {
+        entries: decode_payload(&bytes[HEADER_LEN..])?,
+        flags,
+        bytes: bytes.len() as u64,
+    })
 }
 
 #[cfg(test)]
@@ -433,16 +470,69 @@ mod tests {
     fn roundtrip_preserves_everything_bitwise() {
         let path = tmp_path("roundtrip.bin");
         let entries = sample_entries();
-        let written = write_snapshot(&path, 0xFEED, &entries).unwrap();
-        let (loaded, read) = read_snapshot(&path, 0xFEED).unwrap();
-        assert_eq!(written, read);
-        assert_eq!(loaded, entries);
+        for flags in [0, FLAG_SOURCE_QUARANTINE_FREE] {
+            let written = write_snapshot(&path, 0xFEED, flags, &entries).unwrap();
+            let loaded = read_snapshot(&path, 0xFEED).unwrap();
+            assert_eq!(written, loaded.bytes);
+            assert_eq!(loaded.entries, entries);
+            assert_eq!(loaded.flags, flags);
+        }
+    }
+
+    #[test]
+    fn flags_are_checksummed_and_unknown_bits_refused() {
+        let path = tmp_path("flags.bin");
+        write_snapshot(&path, 1, FLAG_SOURCE_QUARANTINE_FREE, &sample_entries()).unwrap();
+        let good = std::fs::read(&path).unwrap();
+
+        // A flipped flag bit is caught by the checksum, not absorbed.
+        let mut bad = good.clone();
+        bad[28] ^= 1;
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            read_snapshot(&path, 1),
+            Err(SnapshotError::ChecksumMismatch { .. })
+        ));
+
+        // A bit this build does not define, with a valid checksum.
+        let mut bad = good.clone();
+        bad[29] |= 1;
+        let crc = crc32(&bad[28..]);
+        bad[24..28].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            read_snapshot(&path, 1),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn version_one_files_are_refused() {
+        // The v1 layout: a 28-byte header, the CRC over the payload only.
+        let path = tmp_path("v1.bin");
+        write_snapshot(&path, 1, 0, &sample_entries()).unwrap();
+        let v2 = std::fs::read(&path).unwrap();
+        let payload = &v2[HEADER_LEN..];
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&v2[8..24]);
+        v1.extend_from_slice(&crc32(payload).to_le_bytes());
+        v1.extend_from_slice(payload);
+        std::fs::write(&path, &v1).unwrap();
+        assert!(matches!(
+            read_snapshot(&path, 1),
+            Err(SnapshotError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            })
+        ));
     }
 
     #[test]
     fn header_rejections_are_typed() {
         let path = tmp_path("typed.bin");
-        write_snapshot(&path, 1, &sample_entries()).unwrap();
+        write_snapshot(&path, 1, 0, &sample_entries()).unwrap();
         let good = std::fs::read(&path).unwrap();
 
         // Wrong magic.
@@ -508,8 +598,13 @@ mod tests {
         file.extend_from_slice(&VERSION.to_le_bytes());
         file.extend_from_slice(&7u64.to_le_bytes());
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&crc32(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
+        let flagged: Vec<u8> = 0u32
+            .to_le_bytes()
+            .into_iter()
+            .chain(payload.clone())
+            .collect();
+        file.extend_from_slice(&crc32(&flagged).to_le_bytes());
+        file.extend_from_slice(&flagged);
         let path = tmp_path("absurd-count.bin");
         std::fs::write(&path, &file).unwrap();
         assert!(matches!(
@@ -522,15 +617,15 @@ mod tests {
     fn deterministic_bytes_for_same_entries() {
         let a = tmp_path("det-a.bin");
         let b = tmp_path("det-b.bin");
-        write_snapshot(&a, 5, &sample_entries()).unwrap();
-        write_snapshot(&b, 5, &sample_entries()).unwrap();
+        write_snapshot(&a, 5, 0, &sample_entries()).unwrap();
+        write_snapshot(&b, 5, 0, &sample_entries()).unwrap();
         assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
     }
 
     #[test]
     fn no_temp_file_left_behind() {
         let path = tmp_path("clean.bin");
-        write_snapshot(&path, 1, &sample_entries()).unwrap();
+        write_snapshot(&path, 1, 0, &sample_entries()).unwrap();
         let leftovers: Vec<String> = std::fs::read_dir(path.parent().unwrap())
             .unwrap()
             .filter_map(|e| e.ok())
@@ -559,12 +654,12 @@ mod tests {
                 let path = &path;
                 scope.spawn(move || {
                     for _ in 0..4 {
-                        write_snapshot(path, 7, entries).unwrap();
+                        write_snapshot(path, 7, 0, entries).unwrap();
                     }
                 });
             }
         });
-        let (loaded, _) = read_snapshot(&path, 7).unwrap();
+        let loaded = read_snapshot(&path, 7).unwrap().entries;
         assert!(
             variants.contains(&loaded),
             "snapshot is not any single writer's state"

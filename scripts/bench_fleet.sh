@@ -10,6 +10,10 @@
 # scripts/fleet_smoke.json spec end-to-end with the scorer's CI gates
 # armed (recall >= 0.7, zero peering false positives). No timings are
 # recorded and BENCH_fleet.json is not touched.
+#
+# Every rung checks that the warm classify equals the cold one and that,
+# served from the primed snapshot, it decoded no record and counted every
+# record as served.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -54,6 +58,7 @@ run_rung() {
     "$bin" classify --traceroutes "$rung_dir/traceroutes.jsonl" \
         --probes "$rung_dir/probes.json" --start "$start" --end "$end" \
         --cache-dir "$rung_dir/cache" --cache ro \
+        --stats-out "$rung_dir/warm_stats.json" \
         --json >"$rung_dir/classified_warm.json" 2>/dev/null
     t1=$(now_ms)
     rung_warm_ms=$((t1 - t0))
@@ -62,6 +67,13 @@ run_rung() {
         echo "FAIL: $rung_name warm classify differs from cold" >&2
         exit 1
     }
+    decoded=$(grep -o '"records_decoded": *[0-9]*' "$rung_dir/warm_stats.json" | grep -o '[0-9]*$')
+    served=$(grep -o '"records_skipped_served": *[0-9]*' "$rung_dir/warm_stats.json" | grep -o '[0-9]*$')
+    if [ "${decoded:-x}" != 0 ] || [ "${served:-0}" -ne "$rung_traceroutes" ]; then
+        echo "FAIL: $rung_name warm classify decoded ${decoded:-?} record(s)" \
+            "and served ${served:-?} of $rung_traceroutes" >&2
+        exit 1
+    fi
 
     "$bin" fleet score --truth "$rung_dir/truth.json" \
         --classified "$rung_dir/classified.json" \
@@ -74,7 +86,7 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
     "$bin" fleet score --truth "$work/smoke/truth.json" \
         --classified "$work/smoke/classified.json" \
         --min-recall 0.7 --max-peering-fp 0 >/dev/null
-    echo "OK: fleet smoke passed (gen deterministic corpus, warm==cold classify, score gates green)"
+    echo "OK: fleet smoke passed (gen deterministic corpus, warm==cold classify decoding nothing, score gates green)"
     exit 0
 fi
 
