@@ -17,6 +17,10 @@
 //! When it declines a record, the serde path decodes it and alone
 //! produces the errors, so both paths yield the same models and the same
 //! messages.
+//!
+//! Writing goes through [`write_traceroute`], the direct counterpart that
+//! appends a record to a buffer without building a document; the serde
+//! derive on [`AtlasTraceroute`] is the oracle it is tested against.
 
 use crate::probe::ProbeId;
 use crate::traceroute::{Hop, Reply, TracerouteResult};
@@ -26,8 +30,10 @@ use std::fmt;
 use std::net::IpAddr;
 
 mod direct;
+mod write;
 
 pub use direct::{decode_traceroute, peek_probe};
+pub use write::write_traceroute;
 
 /// One reply entry in the Atlas `result` array.
 #[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq)]
@@ -251,10 +257,12 @@ pub fn parse_traceroutes(json: &str) -> Result<Vec<TracerouteResult>, Box<dyn st
     Ok(out)
 }
 
-/// Serialise one internal traceroute to Atlas JSON.
+/// Serialise one internal traceroute to Atlas JSON (one line, no
+/// newline) with [`write_traceroute`].
 pub fn to_atlas_json(tr: &TracerouteResult, public_addr: IpAddr) -> String {
-    serde_json::to_string(&AtlasTraceroute::from_model(tr, public_addr))
-        .expect("traceroute serialization cannot fail")
+    let mut out = String::new();
+    write_traceroute(tr, public_addr, &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //!   `traceroutes.jsonl` — plus a ground-truth sidecar (`truth.json`)
 //!   labeling every AS. Generation is deterministic: identical spec +
 //!   seed give byte-identical corpus and sidecar regardless of
-//!   `--threads`.
+//!   `--threads` (default: one render worker per core).
 //! * `fleet score` joins `classify --json` output against the sidecar
 //!   into a per-label confusion matrix with precision/recall, and can
 //!   gate CI via `--min-recall` / `--max-peering-fp`.
@@ -14,8 +14,8 @@
 //! offline with `lastmile lint --fleet SPEC.json`.
 
 use crate::cache;
+use crate::export;
 use crate::Flags;
-use lastmile_repro::atlas::json::to_atlas_json;
 use lastmile_repro::netsim::fleet::{
     build_fleet, select_probes, ClassMix, FleetLabel, FleetScenario, FleetSpec, SampleMode,
 };
@@ -24,7 +24,6 @@ use lastmile_repro::obs::trace;
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::store::CacheMode;
 use std::collections::BTreeMap;
-use std::io::Write;
 
 pub fn run(action: Option<&str>, flags: &Flags) -> Result<(), String> {
     match action {
@@ -192,7 +191,7 @@ fn gen(flags: &Flags) -> Result<(), String> {
     let spec = load_spec(flags.required("spec")?)?;
     let out_dir = flags.required("out")?;
     let seed: u64 = flags.parsed("seed")?.unwrap_or(20200646);
-    let threads: usize = flags.parsed("threads")?.unwrap_or(1).max(1);
+    let threads: usize = flags.parsed("threads")?.unwrap_or(0);
     let cache_dir = flags.optional("cache-dir");
     let cache_mode: CacheMode = flags.parsed("cache")?.unwrap_or_default();
     if cache_dir.is_none() && flags.optional("cache").is_some() {
@@ -262,45 +261,14 @@ fn gen(flags: &Flags) -> Result<(), String> {
     eprintln!("[out] {truth_path} ({} ASes)", scenario.truth.len());
     drop(span);
 
-    // Traceroutes, probe-major. Rendering parallelizes over probes in
-    // chunks of `--threads`, but the file is assembled strictly in probe
-    // order — thread count can never move a byte.
+    // Traceroutes, probe-major, rendered on `--threads` workers and
+    // written strictly in probe order — thread count can never move a byte.
     let span = trace::span("fleet_export_traceroutes");
     let trs_path = format!("{out_dir}/traceroutes.jsonl");
-    let file = std::fs::File::create(&trs_path).map_err(|e| format!("create {trs_path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
     let engine = TracerouteEngine::new(&scenario.world);
-    let mut count = 0usize;
-    for chunk in probes.chunks(threads) {
-        let rendered: Vec<(String, usize)> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|probe| {
-                    let engine = &engine;
-                    s.spawn(move || {
-                        let mut buf = String::new();
-                        let mut n = 0usize;
-                        engine.for_each_traceroute(probe, &window, |tr| {
-                            buf.push_str(&to_atlas_json(&tr, probe.meta.public_addr));
-                            buf.push('\n');
-                            n += 1;
-                        });
-                        (buf, n)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("render thread panicked"))
-                .collect()
-        });
-        for (buf, n) in rendered {
-            w.write_all(buf.as_bytes())
-                .map_err(|e| format!("write {trs_path}: {e}"))?;
-            count += n;
-        }
-    }
-    w.flush().map_err(|e| format!("flush {trs_path}: {e}"))?;
+    let count = export::write_jsonl(&trs_path, &probes, threads, |probe, emit| {
+        engine.for_each_traceroute(probe, &window, emit)
+    })?;
     eprintln!("[out] {trs_path} ({count} traceroutes)");
     drop(span);
 

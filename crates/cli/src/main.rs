@@ -19,6 +19,7 @@
 mod bgp;
 mod cache;
 mod classify;
+mod export;
 mod fleet;
 mod hygiene;
 mod input;
@@ -106,7 +107,7 @@ fn usage() -> &'static str {
      lastmile hygiene  --traceroutes FILE [--probes FILE] [--start UNIX --end UNIX] [--threshold MS] [--ingest-threads N] [--ingest-serial] [--quarantine FILE] [--stats | --stats-out FILE] [--populations-csv FILE] [--progress]\n  \
      lastmile throughput --cdn FILE.tsv --bgp TABLE.csv [--bin-minutes 15] [--view broadband|mobile|v4|v6] [--csv OUT]\n  \
      lastmile simulate --scenario tokyo|fig1|anchor --out DIR [--seed N] [--days N] [--cache-dir DIR [--cache off|ro|rw]]\n  \
-     lastmile fleet gen --spec SPEC.json --out DIR [--seed N] [--threads N] [--probes-per-as N [--sample-mode biased|uniform] [--sample-seed N]]\n                       \
+     lastmile fleet gen --spec SPEC.json --out DIR [--seed N] [--threads N (default 0 = one per core)] [--probes-per-as N [--sample-mode biased|uniform] [--sample-seed N]]\n                       \
 [--cache-dir DIR [--cache off|ro|rw]]\n  \
      lastmile fleet score --truth DIR/truth.json --classified FILE.json [--min-recall F] [--max-peering-fp N] [--json]\n  \
      lastmile serve    --traceroutes FILE [classify flags] [--addr HOST:PORT] [--serve-workers N] [--serve-queue N] [--retry-after SECS] [--ready-file FILE]\n                       \

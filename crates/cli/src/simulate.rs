@@ -4,8 +4,8 @@
 //! the paper's original pipeline) can be pointed at the simulated data.
 
 use crate::cache;
+use crate::export;
 use crate::Flags;
-use lastmile_repro::atlas::json::to_atlas_json;
 use lastmile_repro::cdnlog::{CdnGeneratorConfig, CdnLogGenerator};
 use lastmile_repro::netsim::scenarios::{anchor, examples, tokyo};
 use lastmile_repro::netsim::{ServiceClass, TracerouteEngine, World};
@@ -79,27 +79,15 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     eprintln!("[out] {table_path}");
     drop(span);
 
-    // Traceroutes, streamed to JSON Lines.
+    // Traceroutes as JSON Lines, rendered on one worker per core and
+    // written in probe order.
     let span = trace::span("export_traceroutes");
     let trs_path = format!("{out_dir}/traceroutes.jsonl");
-    let file = std::fs::File::create(&trs_path).map_err(|e| format!("create {trs_path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
     let engine = TracerouteEngine::new(&world);
-    let mut count = 0usize;
-    for probe in world.probes() {
-        let mut failed = None;
-        engine.for_each_traceroute(probe, &window, |tr| {
-            let line = to_atlas_json(&tr, probe.meta.public_addr);
-            if let Err(e) = writeln!(w, "{line}") {
-                failed = Some(e);
-            }
-            count += 1;
-        });
-        if let Some(e) = failed {
-            return Err(format!("write {trs_path}: {e}"));
-        }
-    }
-    w.flush().map_err(|e| format!("flush {trs_path}: {e}"))?;
+    let probes: Vec<_> = world.probes().iter().collect();
+    let count = export::write_jsonl(&trs_path, &probes, 0, |probe, emit| {
+        engine.for_each_traceroute(probe, &window, emit)
+    })?;
     eprintln!("[out] {trs_path} ({count} traceroutes)");
     drop(span);
 
@@ -129,23 +117,9 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     if world.ases().iter().any(|a| a.v6_prefix.is_some()) {
         let _span = trace::span("export_traceroutes_v6");
         let v6_path = format!("{out_dir}/traceroutes_v6.jsonl");
-        let file = std::fs::File::create(&v6_path).map_err(|e| format!("create {v6_path}: {e}"))?;
-        let mut w = std::io::BufWriter::new(file);
-        let mut v6_count = 0usize;
-        for probe in world.probes() {
-            let mut failed = None;
-            engine.for_each_traceroute_v6(probe, &window, |tr| {
-                let line = to_atlas_json(&tr, probe.meta.public_addr);
-                if let Err(e) = writeln!(w, "{line}") {
-                    failed = Some(e);
-                }
-                v6_count += 1;
-            });
-            if let Some(e) = failed {
-                return Err(format!("write {v6_path}: {e}"));
-            }
-        }
-        w.flush().map_err(|e| format!("flush {v6_path}: {e}"))?;
+        let v6_count = export::write_jsonl(&v6_path, &probes, 0, |probe, emit| {
+            engine.for_each_traceroute_v6(probe, &window, emit)
+        })?;
         eprintln!("[out] {v6_path} ({v6_count} traceroutes)");
     }
 

@@ -51,6 +51,13 @@ fn write_spec(dir: &Path) -> PathBuf {
     spec
 }
 
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// The `--start`/`--end` instants recorded in a truth sidecar.
 fn truth_window(truth_path: &Path) -> (i64, i64) {
     let truth: serde_json::Value =
@@ -114,6 +121,16 @@ fn fleet_corpus_is_byte_identical_across_threads_and_runs() {
         );
         assert!(!a.is_empty(), "{artifact} is empty");
     }
+
+    // The corpus bytes themselves are pinned: a renderer change that
+    // moves any byte of the wire format fails here, whatever it agrees with.
+    let corpus = std::fs::read(dir.join("a/traceroutes.jsonl")).unwrap();
+    assert_eq!(corpus.len(), 59_702_696, "corpus size moved");
+    assert_eq!(
+        fnv1a(&corpus),
+        0x2f26_2ab8_8307_9510,
+        "corpus digest moved (seed 11)"
+    );
 
     // A different seed moves the corpus (the knob is live).
     let other = dir.join("other");

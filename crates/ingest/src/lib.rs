@@ -449,9 +449,14 @@ fn ingest_reader_serial(
             p.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
         }
         let t = Instant::now();
+        // Decode runs inside the framing callback: time it there, so it
+        // can be taken out of the frame time and reported as itself.
+        let mut chunk_decode_nanos = 0u64;
         let mut handle = |frame: Frame<'_>| match frame {
             Frame::Doc { offset, bytes } => {
+                let t = Instant::now();
                 staged.push(decode_timed(offset, bytes, options, &mut decode_hist));
+                chunk_decode_nanos += elapsed_nanos(t);
             }
             Frame::Junk {
                 offset,
@@ -470,7 +475,8 @@ fn ingest_reader_serial(
         } else {
             splitter.feed(chunk, &mut handle);
         }
-        summary.frame_nanos += elapsed_nanos(t);
+        summary.frame_nanos += elapsed_nanos(t).saturating_sub(chunk_decode_nanos);
+        summary.decode_nanos += chunk_decode_nanos;
         for outcome in staged.drain(..) {
             match outcome {
                 Ok(Decoded::Record(tr)) => {
@@ -491,9 +497,6 @@ fn ingest_reader_serial(
             break;
         }
     }
-    // Serial framing and decode interleave; attribute the non-framing
-    // share of the loop to decode.
-    summary.decode_nanos = elapsed_nanos(wall).saturating_sub(summary.frame_nanos);
     summary.decode_hist = decode_hist;
     summary.quarantined.sort_by_key(|q| q.offset);
     summary.wall_nanos = elapsed_nanos(wall);
@@ -1227,6 +1230,36 @@ mod tests {
         // Latency collection is opt-in: off by default.
         let (_, summary) = fingerprint(&IngestOptions::default(), &input);
         assert_eq!(summary.decode_hist.count(), 0);
+    }
+
+    #[test]
+    fn serial_timers_keep_consumer_time_out_of_decode() {
+        // 20 records whose consumer sleeps 2 ms each: 40 ms of consumer
+        // time that is neither framing nor decoding.
+        let input = lines_input(20);
+        let options = IngestOptions {
+            serial: true,
+            ..IngestOptions::default()
+        };
+        let summary = ingest_reader(Cursor::new(input), &options, |_| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        })
+        .unwrap();
+        assert_eq!(summary.parsed, 20);
+        assert!(summary.wall_nanos >= 40_000_000);
+        assert!(summary.decode_nanos > 0, "decode time went unmeasured");
+        assert!(
+            summary.decode_nanos < 20_000_000,
+            "decode_nanos {} counts the consumer's sleep",
+            summary.decode_nanos
+        );
+        assert!(
+            summary.frame_nanos + summary.decode_nanos < summary.wall_nanos,
+            "frame {} + decode {} exceed wall {}",
+            summary.frame_nanos,
+            summary.decode_nanos,
+            summary.wall_nanos
+        );
     }
 
     #[test]
